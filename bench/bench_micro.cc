@@ -104,8 +104,8 @@ void BM_MineGeneralDag(benchmark::State& state) {
 BENCHMARK(BM_MineGeneralDag)->Range(16, 1024)->Complexity();
 
 void BM_MineGeneralWalkerLog(benchmark::State& state) {
-  // Ablation: memoized (1) vs unmemoized (0) per-execution reductions on a
-  // subset log, where executions repeat activity sets heavily.
+  // Memoized per-execution reductions on a subset log, where executions
+  // repeat activity sets heavily.
   RandomDagOptions options;
   options.num_activities = 25;
   options.edge_density = PaperEdgeDensity(25);
@@ -114,15 +114,13 @@ void BM_MineGeneralWalkerLog(benchmark::State& state) {
   EventLog log =
       GenerateWalkLog(truth, {.num_executions = 500, .seed = 10})
           .ValueOrDie();
-  GeneralDagMinerOptions miner_options;
-  miner_options.memoize_reductions = state.range(0) == 1;
-  GeneralDagMiner miner(miner_options);
+  GeneralDagMiner miner;
   for (auto _ : state) {
     auto mined = miner.Mine(log);
     benchmark::DoNotOptimize(mined);
   }
 }
-BENCHMARK(BM_MineGeneralWalkerLog)->Arg(0)->Arg(1);
+BENCHMARK(BM_MineGeneralWalkerLog);
 
 }  // namespace
 }  // namespace procmine

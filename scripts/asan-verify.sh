@@ -7,9 +7,11 @@
 # recovery/salvage machinery it reuses, the telemetry sampler's
 # /proc parsing + ring/serialization paths, and the streaming server's
 # wire/journal decoders (length-prefixed frames and crc-framed journal
-# records parsed from hostile or torn byte streams). Run whenever
-# src/log/segment_store, src/mine/ooc_miner, src/obs/telemetry,
-# src/serve/, or the binary-log salvage path changes.
+# records parsed from hostile or torn byte streams), and the mining driver
+# every mine runs through (the in-memory miners, the incremental miner, the
+# parallel-determinism sweep and the driver-parity grid). Run whenever
+# src/log/segment_store, src/mine/, src/obs/telemetry, src/serve/, or the
+# binary-log salvage path changes.
 #
 # Usage: scripts/asan-verify.sh [build-dir]   (default: build-asan)
 
@@ -25,7 +27,9 @@ cmake -B "$BUILD_DIR" -S . \
   -DPROCMINE_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD_DIR" -j \
   --target segment_store_test binary_log_test recovery_test \
-           format_fuzz_test budget_test telemetry_test serve_test
+           format_fuzz_test budget_test telemetry_test serve_test \
+           miner_test special_dag_miner_test general_dag_miner_test \
+           cyclic_miner_test incremental_test parallel_determinism_test
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|FormatFuzz|RunBudget|Telemetry|Serve'
+  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|FormatFuzz|RunBudget|Telemetry|Serve|Miner|GeneralDag|CyclicMiner|IncrementalMiner|ParallelDeterminism'

@@ -7,7 +7,8 @@
 // finally merge the equivalent sets {A#1, A#2, ...} back into A. An edge
 // (A, B) appears in the merged graph iff some edge connected an instance of
 // A to an instance of B with A != B (step 8: edges between instances of the
-// SAME activity are dropped by the merge).
+// SAME activity are dropped by the merge). The steps run in the mining
+// driver (mine/driver.h); this file holds the occurrence labeling.
 
 #ifndef PROCMINE_MINE_CYCLIC_MINER_H_
 #define PROCMINE_MINE_CYCLIC_MINER_H_
@@ -16,30 +17,29 @@
 #include <vector>
 
 #include "log/event_log.h"
-#include "util/budget.h"
+#include "mine/driver.h"
 #include "util/result.h"
 #include "workflow/process_graph.h"
 
 namespace procmine {
 
 class ThreadPool;
-class ProvenanceRecorder;
 
-/// Incremental occurrence labeling: the table "k-th occurrence of A is
-/// pseudo-activity A#k", built one execution at a time so the out-of-core
-/// path can stream a store through pass 1 without materializing the labeled
-/// log. Observe() in log order reproduces exactly the first-encounter
-/// interning order of CyclicMiner::LabelOccurrences; Relabel() then rewrites
-/// any execution against the finished table. Single-threaded.
+/// Occurrence labeling: the table "k-th occurrence of A is pseudo-activity
+/// A#k", built one execution at a time so a windowed source can stream pass
+/// 1 without materializing the labeled log. Observe() in log order interns
+/// labels in first-encounter order; Relabel() then rewrites any window
+/// against the finished table.
 class OccurrenceLabeler {
  public:
   /// Pass 1: extends the label table with `exec`'s occurrences. `base_dict`
-  /// names the activity ids `exec` uses; call in log order.
+  /// names the activity ids `exec` uses; call in log order. Single-threaded.
   void Observe(const Execution& exec, const ActivityDictionary& base_dict);
 
-  /// Pass 2: rewrites one execution against the table built so far. Every
+  /// Pass 2: `log` rewritten into the labeled id space, in parallel shards
+  /// when `pool` is non-null (byte-identical for any shard count). Every
   /// occurrence must already have been Observed.
-  Execution Relabel(const Execution& exec);
+  EventLog Relabel(const EventLog& log, ThreadPool* pool) const;
 
   /// The labeled dictionary ("A#1", "B#1", "A#2", ...).
   const ActivityDictionary& labeled_dictionary() const { return labeled_dict_; }
@@ -49,41 +49,18 @@ class OccurrenceLabeler {
     return labeled_to_base_;
   }
 
-  /// label_ids()[a][k-1] is the labeled id of the k-th occurrence of base
-  /// activity a (exposed for the parallel relabel pass).
-  const std::vector<std::vector<ActivityId>>& label_ids() const {
-    return label_ids_;
-  }
-
  private:
   ActivityDictionary labeled_dict_;
+  /// label_ids_[a][k-1] is the labeled id of the k-th occurrence of a.
   std::vector<std::vector<ActivityId>> label_ids_;
   std::vector<ActivityId> labeled_to_base_;
   std::vector<int64_t> occurrence_;  // per-exec scratch, reset via touched_
   std::vector<size_t> touched_;
 };
 
-struct CyclicMinerOptions {
-  /// Noise threshold forwarded to the labeled Algorithm 2 run.
-  int64_t noise_threshold = 1;
-  /// Worker threads for the labeling pass and the labeled Algorithm 2 run.
-  /// 1 = sequential reference path; <= 0 = hardware concurrency. The mined
-  /// graph is byte-identical for every thread count; logs below
-  /// ThreadPool::kSmallInputInlineThreshold executions skip the pool.
-  int num_threads = 1;
-  /// Executions per work-stealing chunk, forwarded to the inner Algorithm 2
-  /// run; 0 = default (see PlanChunks). Any value produces the same model.
-  size_t chunk_size = 0;
-  /// Optional edge-provenance sink (see mine/provenance.h). Recorded in the
-  /// occurrence-labeled id space ("A#1", "A#2", ...) the inner Algorithm 2
-  /// run operates in, with the labeled-to-base mapping attached. Not owned;
-  /// must outlive Mine(). Null (the default) disables recording.
-  ProvenanceRecorder* provenance = nullptr;
-  /// Optional run budget + degradation sink (see util/budget.h), forwarded
-  /// to the inner Algorithm 2 run. Borrowed; may be null.
-  RunBudget* budget = nullptr;
-  DegradationInfo* degradation = nullptr;
-};
+/// Options: noise threshold, threads, chunk size, provenance (recorded in
+/// the labeled id space) and budget, as for every algorithm.
+using CyclicMinerOptions = AlgorithmOptions;
 
 /// Mines a (possibly cyclic) conformal graph via instance labeling.
 class CyclicMiner {
@@ -95,17 +72,13 @@ class CyclicMiner {
 
   /// Exposed for tests and the worked paper example (Figure 6): the labeled
   /// intermediate log, with occurrence labels "A#1", "A#2", ... and a
-  /// parallel map from labeled ActivityId to original ActivityId.
-  static EventLog LabelOccurrences(const EventLog& log,
-                                   std::vector<ActivityId>* labeled_to_base);
-
-  /// Sharded variant: the label dictionary is built in one cheap sequential
-  /// integer pass (preserving first-encounter interning order), then the
-  /// executions are rewritten in parallel shards. Byte-identical to the
-  /// sequential path for any thread count. `pool` may be null (sequential).
+  /// parallel map from labeled ActivityId to original ActivityId. The label
+  /// dictionary is built in one sequential pass; the executions are
+  /// rewritten in parallel shards when `pool` is non-null (byte-identical to
+  /// the sequential path for any thread count).
   static EventLog LabelOccurrences(const EventLog& log,
                                    std::vector<ActivityId>* labeled_to_base,
-                                   ThreadPool* pool);
+                                   ThreadPool* pool = nullptr);
 
  private:
   CyclicMinerOptions options_;

@@ -14,13 +14,11 @@ namespace procmine {
 
 namespace {
 
-// Counts the precedence edges of executions [span.begin, span.end) into
-// `counts`. Instances are ordered by start time, so for a fixed instance i
-// the partners j with start(j) > end(i) form a suffix of the instance list:
-// binary-search its first index instead of scanning all pairs. (Only j > i
-// can qualify: start(j) <= start(i) <= end(i) for j <= i.) A per-execution
-// dedup set keeps the once-per-execution counting semantics of Section 6.
-void CollectSpan(const EventLog& log, ExecutionSpan span, EdgeCounts* counts) {
+// Visits the distinct precedence pairs of executions [span.begin,
+// span.end), calling on_pair(key, execution index). A template so that the
+// plain counting path stays branch-free when no recorder is attached.
+template <typename OnPair>
+void ScanSpan(const EventLog& log, ExecutionSpan span, OnPair&& on_pair) {
   PROCMINE_SPAN("edges.collect_shard");
   static obs::Counter* executions = obs::MetricsRegistry::Get().GetCounter(
       "mine.executions_scanned");
@@ -29,57 +27,30 @@ void CollectSpan(const EventLog& log, ExecutionSpan span, EdgeCounts* counts) {
   executions->Add(static_cast<int64_t>(span.end - span.begin));
   std::unordered_set<uint64_t> seen_this_exec;
   for (size_t e = span.begin; e < span.end; ++e) {
-    const auto& instances = log.execution(e).instances();
-    const size_t k = instances.size();
-    exec_size->Record(static_cast<int64_t>(k));
-    seen_this_exec.clear();
-    for (size_t i = 0; i < k; ++i) {
-      const int64_t end_i = instances[i].end;
-      auto first = std::partition_point(
-          instances.begin() + static_cast<ptrdiff_t>(i) + 1, instances.end(),
-          [end_i](const ActivityInstance& x) { return x.start <= end_i; });
-      for (auto it = first; it != instances.end(); ++it) {
-        uint64_t key = PackEdge(instances[i].activity, it->activity);
-        if (seen_this_exec.insert(key).second) ++(*counts)[key];
-      }
-    }
+    const Execution& exec = log.execution(e);
+    exec_size->Record(static_cast<int64_t>(exec.size()));
+    ForEachPrecedencePair(exec, &seen_this_exec,
+                          [&](uint64_t key) { on_pair(key, e); });
   }
 }
 
+// Counts the precedence edges of executions [span.begin, span.end) into
+// `counts`.
+void CollectSpan(const EventLog& log, ExecutionSpan span, EdgeCounts* counts) {
+  ScanSpan(log, span, [counts](uint64_t key, size_t) { ++(*counts)[key]; });
+}
+
 // Provenance-recording twin of CollectSpan: additionally tracks first/last
-// witnessing execution index per edge. A separate function so the plain
-// counting path stays branch-free when no recorder is attached.
+// witnessing execution index per edge.
 void CollectEvidenceSpan(const EventLog& log, ExecutionSpan span,
                          EdgeEvidenceMap* evidence) {
-  PROCMINE_SPAN("edges.collect_shard");
-  static obs::Counter* executions = obs::MetricsRegistry::Get().GetCounter(
-      "mine.executions_scanned");
-  static obs::Histogram* exec_size = obs::MetricsRegistry::Get().GetHistogram(
-      "mine.execution_instances", {4, 16, 64, 256, 1024, 4096});
-  executions->Add(static_cast<int64_t>(span.end - span.begin));
-  std::unordered_set<uint64_t> seen_this_exec;
-  for (size_t e = span.begin; e < span.end; ++e) {
-    const auto& instances = log.execution(e).instances();
-    const size_t k = instances.size();
-    exec_size->Record(static_cast<int64_t>(k));
-    seen_this_exec.clear();
-    for (size_t i = 0; i < k; ++i) {
-      const int64_t end_i = instances[i].end;
-      auto first = std::partition_point(
-          instances.begin() + static_cast<ptrdiff_t>(i) + 1, instances.end(),
-          [end_i](const ActivityInstance& x) { return x.start <= end_i; });
-      for (auto it = first; it != instances.end(); ++it) {
-        uint64_t key = PackEdge(instances[i].activity, it->activity);
-        if (seen_this_exec.insert(key).second) {
-          EdgeEvidence& cell = (*evidence)[key];
-          ++cell.support;
-          int64_t index = static_cast<int64_t>(e);
-          if (cell.first_witness < 0) cell.first_witness = index;
-          cell.last_witness = index;  // e is increasing within the shard
-        }
-      }
-    }
-  }
+  ScanSpan(log, span, [evidence](uint64_t key, size_t e) {
+    EdgeEvidence& cell = (*evidence)[key];
+    ++cell.support;
+    const int64_t index = static_cast<int64_t>(e);
+    if (cell.first_witness < 0) cell.first_witness = index;
+    cell.last_witness = index;  // e is increasing within the shard
+  });
 }
 
 // Chunked evidence collection mirroring the counting path: disjoint

@@ -9,8 +9,12 @@
 #ifndef PROCMINE_MINE_EDGE_COLLECTOR_H_
 #define PROCMINE_MINE_EDGE_COLLECTOR_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "graph/digraph.h"
 #include "log/event_log.h"
@@ -23,6 +27,31 @@ class ThreadPool;
 /// Precedence-edge counters: counts[PackEdge(u,v)] = number of executions in
 /// which some instance of u terminates before some instance of v starts.
 using EdgeCounts = std::unordered_map<uint64_t, int64_t>;
+
+/// Calls `fn(PackEdge(u, v))` once per distinct precedence pair (u, v) of
+/// `exec` — some instance of u terminates before some instance of v starts —
+/// in discovery order. Instances are ordered by start time, so for a fixed
+/// instance i the partners j with start(j) > end(i) form a suffix of the
+/// instance list: binary-search its first index instead of scanning all
+/// pairs. (Only j > i can qualify: start(j) <= start(i) <= end(i) for
+/// j <= i.) `seen` is the caller's dedup scratch, cleared here; deduping
+/// keeps the once-per-execution counting semantics of Section 6.
+template <typename Fn>
+void ForEachPrecedencePair(const Execution& exec,
+                           std::unordered_set<uint64_t>* seen, Fn&& fn) {
+  const std::vector<ActivityInstance>& instances = exec.instances();
+  seen->clear();
+  for (size_t i = 0; i < instances.size(); ++i) {
+    const int64_t end_i = instances[i].end;
+    auto first = std::partition_point(
+        instances.begin() + static_cast<ptrdiff_t>(i) + 1, instances.end(),
+        [end_i](const ActivityInstance& x) { return x.start <= end_i; });
+    for (auto it = first; it != instances.end(); ++it) {
+      uint64_t key = PackEdge(instances[i].activity, it->activity);
+      if (seen->insert(key).second) fn(key);
+    }
+  }
+}
 
 /// Scans the log once and counts precedence edges. Instances are sorted by
 /// start time, so each instance binary-searches the first partner that

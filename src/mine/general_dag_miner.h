@@ -10,95 +10,24 @@
 //        mark the surviving edges,
 //   6.   drop unmarked edges.
 // The result is a conformal graph (Theorem 5); minimality is heuristic.
+// The steps run in the mining driver (mine/driver.h).
 
 #ifndef PROCMINE_MINE_GENERAL_DAG_MINER_H_
 #define PROCMINE_MINE_GENERAL_DAG_MINER_H_
 
-#include <cstdint>
-#include <unordered_set>
-#include <vector>
-
-#include "graph/digraph.h"
 #include "log/event_log.h"
-#include "util/budget.h"
-#include "util/hash.h"
+#include "mine/driver.h"
 #include "util/result.h"
-#include "util/striped_memo.h"
 #include "workflow/process_graph.h"
 
 namespace procmine {
 
-class ProvenanceRecorder;
-
-namespace mine_internal {
-
-/// Memo key hash for the per-execution reductions: the sorted activity set.
-/// Hashing the id vector directly (HashBytes over the raw id words) avoids
-/// serializing a fresh string key per execution just to look it up.
-struct SequenceHash {
-  size_t operator()(const std::vector<NodeId>& ids) const {
-    return static_cast<size_t>(
-        HashBytes(ids.data(), ids.size() * sizeof(NodeId)));
-  }
-};
-
-/// One memo shared by every worker (and, on the out-of-core path, across
-/// every segment window): the cached edge vector is a pure function of the
-/// activity set, so first-writer-wins sharing cannot perturb the model.
-using ReductionMemo =
-    StripedMemo<std::vector<NodeId>, std::vector<Edge>, SequenceHash>;
-
-/// Algorithm 2's per-execution validation: InvalidArgument when `exec`
-/// repeats an activity (same message the in-memory miner emits, so the
-/// windowed path fails identically).
-Status ValidateNoRepeats(const Execution& exec,
-                         const ActivityDictionary& dict, NodeId n);
-
-/// Steps 5-6 map phase for one span of `log`: transitively reduce each
-/// execution's induced subgraph of `g` and union the surviving edges into
-/// `marked`. Shared by the in-memory shards and the out-of-core segment
-/// windows — marked-set union is order-independent, so any partition of the
-/// executions yields the same set.
-Status MarkReductionEdges(const EventLog& log, const DirectedGraph& g,
-                          ExecutionSpan span, ReductionMemo* memo,
-                          RunBudget* budget, bool* budget_aborted,
-                          std::unordered_set<uint64_t>* marked);
-
-}  // namespace mine_internal
-
-struct GeneralDagMinerOptions {
-  /// Minimum executions an edge must appear in to survive (Section 6
-  /// noise threshold T). 1 = keep everything.
-  int64_t noise_threshold = 1;
-  /// Memoize the per-execution transitive reductions keyed by the induced
-  /// activity set (executions repeat heavily in real logs; the reduction
-  /// only depends on the set, not the order). Ablated in bench_micro.
-  /// Under num_threads > 1 all workers share one striped concurrent memo
-  /// (util/striped_memo.h): a duplicate execution is a hit no matter which
-  /// worker saw it first.
-  bool memoize_reductions = true;
-  /// Worker threads for the chunked per-execution passes (edge collection
-  /// and the step 5-6 transitive reductions). 1 = sequential reference
-  /// path; <= 0 = hardware concurrency. The mined graph is byte-identical
-  /// for every thread count; logs below
-  /// ThreadPool::kSmallInputInlineThreshold executions skip the pool
-  /// entirely.
-  int num_threads = 1;
-  /// Executions per work-stealing chunk; 0 (the default) selects 4 chunks
-  /// per thread (see PlanChunks). Any value produces the same model —
-  /// exposed for tuning and for the determinism tests' chunk-size axis.
-  size_t chunk_size = 0;
-  /// Optional edge-provenance sink (see mine/provenance.h). Not owned; must
-  /// outlive Mine(). Null (the default) disables recording at the cost of
-  /// one branch per instrumented site.
-  ProvenanceRecorder* provenance = nullptr;
-  /// Optional run budget + degradation sink (see util/budget.h): checked at
-  /// phase boundaries and every ~1024 executions inside the step 5-6
-  /// reduction pass. On exhaustion the miner returns the conformal (but
-  /// unminimized) post-SCC DAG and records the cut. Borrowed; may be null.
-  RunBudget* budget = nullptr;
-  DegradationInfo* degradation = nullptr;
-};
+/// Options: noise threshold, threads, chunk size, provenance and budget, as
+/// for every algorithm. A budget cut before or during steps 5-6 returns the
+/// conformal (but unminimized) post-SCC DAG. The step 5-6 reductions are
+/// memoized by activity set in one memo all workers share (executions repeat
+/// heavily in real logs; the reduction depends only on the set).
+using GeneralDagMinerOptions = AlgorithmOptions;
 
 /// Mines a conformal DAG from a general acyclic log.
 class GeneralDagMiner {

@@ -3,13 +3,31 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "graph/algorithms.h"
-#include "graph/transitive_reduction.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/strings.h"
 
 namespace procmine {
+
+namespace {
+
+// The sorted activity set of `exec`; InvalidArgument when the execution is
+// empty or repeats an activity.
+Result<std::vector<ActivityId>> ActivitySet(const Execution& exec) {
+  if (exec.empty()) {
+    return Status::InvalidArgument("empty execution");
+  }
+  std::vector<ActivityId> present = exec.Sequence();
+  std::sort(present.begin(), present.end());
+  if (std::adjacent_find(present.begin(), present.end()) != present.end()) {
+    return Status::InvalidArgument(
+        "execution repeats an activity; the incremental miner covers the "
+        "acyclic setting (use CyclicMiner in batch mode)");
+  }
+  return present;
+}
+
+}  // namespace
 
 Status IncrementalMiner::AddSequence(
     const std::vector<std::string>& sequence) {
@@ -98,30 +116,11 @@ Status IncrementalMiner::RemoveExecution(const Execution& exec,
 
 Status IncrementalMiner::Absorb(const Execution& exec) {
   PROCMINE_SPAN("incremental.absorb");
-  if (exec.empty()) {
-    return Status::InvalidArgument("empty execution");
-  }
-  std::vector<ActivityId> present = exec.Sequence();
-  std::sort(present.begin(), present.end());
-  if (std::adjacent_find(present.begin(), present.end()) != present.end()) {
-    return Status::InvalidArgument(
-        "execution repeats an activity; the incremental miner covers the "
-        "acyclic setting (use CyclicMiner in batch mode)");
-  }
-
-  // Per-execution precedence pairs, counted once each.
+  PROCMINE_ASSIGN_OR_RETURN(std::vector<ActivityId> present,
+                            ActivitySet(exec));
   std::unordered_set<uint64_t> seen_pairs;
-  const auto& instances = exec.instances();
-  for (size_t i = 0; i < instances.size(); ++i) {
-    for (size_t j = 0; j < instances.size(); ++j) {
-      if (i != j && instances[i].end < instances[j].start) {
-        uint64_t key =
-            PackEdge(instances[i].activity, instances[j].activity);
-        if (seen_pairs.insert(key).second) ++counts_[key];
-      }
-    }
-  }
-
+  ForEachPrecedencePair(exec, &seen_pairs,
+                        [this](uint64_t key) { ++counts_[key]; });
   ++set_counts_[std::move(present)];
   ++num_executions_;
   ++version_;
@@ -133,29 +132,12 @@ Status IncrementalMiner::Absorb(const Execution& exec) {
 
 Status IncrementalMiner::Evict(const Execution& exec) {
   PROCMINE_SPAN("incremental.evict");
-  if (exec.empty()) {
-    return Status::InvalidArgument("empty execution");
-  }
-  std::vector<ActivityId> present = exec.Sequence();
-  std::sort(present.begin(), present.end());
-  if (std::adjacent_find(present.begin(), present.end()) != present.end()) {
-    return Status::InvalidArgument(
-        "execution repeats an activity; the incremental miner covers the "
-        "acyclic setting (use CyclicMiner in batch mode)");
-  }
-
+  PROCMINE_ASSIGN_OR_RETURN(std::vector<ActivityId> present,
+                            ActivitySet(exec));
   // Same pair enumeration as Absorb, so eviction undoes exactly what the
   // matching Absorb contributed.
   std::unordered_set<uint64_t> seen_pairs;
-  const auto& instances = exec.instances();
-  for (size_t i = 0; i < instances.size(); ++i) {
-    for (size_t j = 0; j < instances.size(); ++j) {
-      if (i != j && instances[i].end < instances[j].start) {
-        seen_pairs.insert(
-            PackEdge(instances[i].activity, instances[j].activity));
-      }
-    }
-  }
+  ForEachPrecedencePair(exec, &seen_pairs, [](uint64_t) {});
 
   // Validate before mutating: a failed eviction must leave the state
   // untouched.
@@ -206,33 +188,15 @@ Result<ProcessGraph> IncrementalMiner::CurrentGraph() const {
       obs::MetricsRegistry::Get().GetCounter("incremental.rebuilds");
   rebuilds->Increment();
 
-  // Steps 2-4 of Algorithm 2 over the accumulated counters.
-  DirectedGraph g =
-      BuildPrecedenceGraph(counts_, dict_.size(), options_.noise_threshold);
-  RemoveTwoCycles(&g);
-  RemoveIntraSccEdges(&g);
-
-  // Steps 5-6 over the distinct activity sets.
-  std::unordered_set<uint64_t> marked;
-  for (const auto& [present, count] : set_counts_) {
-    DirectedGraph induced = InducedSubgraph(g, present);
-    Result<DirectedGraph> reduced = TransitiveReduction(induced);
-    if (!reduced.ok()) {
-      cached_version_ = version_;
-      cached_graph_ = reduced.status();
-      return cached_graph_;
-    }
-    for (const Edge& e : reduced->Edges()) {
-      marked.insert(PackEdge(e.from, e.to));
-    }
-  }
-  DirectedGraph result(dict_.size());
-  for (uint64_t key : marked) {
-    Edge e = UnpackEdge(key);
-    result.AddEdge(e.from, e.to);
-  }
+  // Algorithm 2 over the accumulated counters and distinct activity sets.
+  Result<DirectedGraph> mined = mine_internal::MineFromStatistics(
+      counts_, dict_.size(), options_.noise_threshold, set_counts_);
   cached_version_ = version_;
-  cached_graph_ = ProcessGraph(std::move(result), dict_.names());
+  if (!mined.ok()) {
+    cached_graph_ = mined.status();
+    return cached_graph_;
+  }
+  cached_graph_ = ProcessGraph(mined.MoveValueOrDie(), dict_.names());
   return cached_graph_;
 }
 

@@ -14,11 +14,11 @@
 #define PROCMINE_MINE_INCREMENTAL_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "log/event_log.h"
+#include "mine/driver.h"
 #include "mine/edge_collector.h"
 #include "util/budget.h"
 #include "util/result.h"
@@ -103,8 +103,7 @@ class IncrementalMiner {
   IncrementalMinerOptions options_;
   ActivityDictionary dict_;
   EdgeCounts counts_;
-  /// Distinct activity sets (sorted id vectors) -> executions seen with it.
-  std::map<std::vector<ActivityId>, int64_t> set_counts_;
+  mine_internal::ActivitySetCounts set_counts_;
   size_t num_executions_ = 0;
 
   // Query cache, invalidated by version bumps on every Add*.

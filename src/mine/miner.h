@@ -15,50 +15,11 @@
 #include "log/event_log.h"
 #include "mine/condition_miner.h"
 #include "mine/conformance.h"
-#include "util/budget.h"
+#include "mine/driver.h"
 #include "util/result.h"
 #include "workflow/process_graph.h"
 
 namespace procmine {
-
-class ProvenanceRecorder;
-
-enum class MinerAlgorithm : int8_t {
-  kAuto,        ///< choose from the log's shape
-  kSpecialDag,  ///< Algorithm 1
-  kGeneralDag,  ///< Algorithm 2
-  kCyclic,      ///< Algorithm 3
-};
-
-struct MinerOptions {
-  MinerAlgorithm algorithm = MinerAlgorithm::kAuto;
-  /// Section 6 noise threshold T (minimum executions per edge); 1 keeps all.
-  int64_t noise_threshold = 1;
-  /// Worker threads for the chunked per-execution mining passes. 1 (the
-  /// default) runs the sequential reference path; <= 0 selects hardware
-  /// concurrency. Every thread count produces a byte-identical model: the
-  /// chunk partition is a pure function of the log and these options, and
-  /// the chunk merges (bitset OR, counter sum, marked-set union) are
-  /// order-independent by construction.
-  int num_threads = 1;
-  /// Executions per work-stealing chunk (0 = default, 4 chunks per thread;
-  /// see PlanChunks). Any value produces the same model — a tuning knob
-  /// only: smaller chunks rebalance better against skewed executions,
-  /// larger chunks amortize per-chunk accumulators.
-  size_t chunk_size = 0;
-  /// Optional edge-provenance sink forwarded to the selected algorithm (see
-  /// mine/provenance.h; obs/report.h builds full run reports on top of it).
-  /// Not owned; must outlive Mine(). Null (the default) disables recording.
-  ProvenanceRecorder* provenance = nullptr;
-  /// Optional run budget, checked at phase boundaries (and periodically
-  /// inside the long reduction passes). On exhaustion the miner returns the
-  /// best model built so far instead of finishing — never an error — and
-  /// records what was cut in `degradation`. max_executions is applied here:
-  /// the log is truncated to its first N executions before mining. Both
-  /// pointers are borrowed and may be null (no budgeting).
-  RunBudget* budget = nullptr;
-  DegradationInfo* degradation = nullptr;
-};
 
 /// High-level mining entry point.
 class ProcessMiner {

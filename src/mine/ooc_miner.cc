@@ -1,346 +1,92 @@
 #include "mine/ooc_miner.h"
 
-#include <algorithm>
-#include <functional>
 #include <memory>
-#include <unordered_set>
-#include <utility>
-#include <vector>
 
-#include "graph/digraph.h"
-#include "graph/transitive_reduction.h"
-#include "mine/cyclic_miner.h"
-#include "mine/edge_collector.h"
-#include "mine/general_dag_miner.h"
-#include "mine/special_dag_miner.h"
+#include "log/transform.h"
+#include "mine/driver.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "util/hash.h"
-#include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace procmine {
 
 namespace {
 
-using mine_internal::ReductionMemo;
+using mine_internal::SourcePass;
 
-// The degradation texts must match the in-memory miners byte-for-byte: a
-// budget-cut out-of-core run reports the same DegradationInfo.
-constexpr const char* kCollectDropped =
-    "precedence collection and all later phases skipped; the "
-    "model has no edges";
-constexpr const char* kReduceDropped =
-    "per-execution transitive reductions skipped; the model is conformal "
-    "but keeps edges a full run would have removed";
+// A segment store as a many-window source: one decoded segment per window,
+// the tail window trimmed to the planned execution count. Each pass gets an
+// "ooc.<pass>" span and telemetry phase; window visits feed the ooc.*
+// counters and, for the collect and reduce passes, OocMineStats.
+class StoreSource final : public mine_internal::ExecutionSource {
+ public:
+  StoreSource(SegmentStore* store, OocMineStats* stats)
+      : store_(store), stats_(stats), limit_(store->num_executions()) {}
 
-// Applies `fn` to each non-empty segment window in store order, visiting at
-// most `limit` executions overall (the tail window is trimmed to fit). `fn`
-// returns whether to keep iterating. Window visits are tallied in `stats`.
-Status ForEachWindow(SegmentStore* store, int64_t limit, OocMineStats* stats,
-                     const std::function<Result<bool>(const EventLog&)>& fn) {
-  int64_t remaining = limit;
-  for (size_t i = 0; i < store->num_segments() && remaining > 0; ++i) {
-    PROCMINE_ASSIGN_OR_RETURN(std::shared_ptr<const EventLog> window,
-                              store->Segment(i));
-    if (window->num_executions() == 0) continue;
-    if (stats != nullptr) ++stats->windows;
-    static obs::Counter* visited =
-        obs::MetricsRegistry::Get().GetCounter("ooc.windows_visited");
-    visited->Increment();
-    bool keep_going = true;
-    if (static_cast<int64_t>(window->num_executions()) <= remaining) {
-      remaining -= static_cast<int64_t>(window->num_executions());
-      PROCMINE_ASSIGN_OR_RETURN(keep_going, fn(*window));
-    } else {
+  const ActivityDictionary& dictionary() const override {
+    return store_->dictionary();
+  }
+  int64_t num_executions() const override { return limit_; }
+
+  void Plan(int64_t executions) override {
+    limit_ = executions;
+    // Progress denominators for the telemetry status surface: a watcher
+    // divides windows_visited / executions mined by these.
+    static obs::Gauge* windows_total =
+        obs::MetricsRegistry::Get().GetGauge("ooc.windows_total");
+    static obs::Gauge* executions_total =
+        obs::MetricsRegistry::Get().GetGauge("progress.executions_total");
+    windows_total->Set(static_cast<int64_t>(store_->num_segments()));
+    executions_total->Set(limit_);
+  }
+
+  Status ForEachWindow(SourcePass pass, const WindowFn& fn) override {
+    static constexpr const char* kPassNames[] = {
+        "ooc.select", "ooc.validate", "ooc.label", "ooc.collect",
+        "ooc.reduce"};
+    const char* name = kPassNames[static_cast<size_t>(pass)];
+    obs::ScopedSpan span(name);
+    obs::ScopedPhase phase(name);
+    const bool tallied =
+        pass == SourcePass::kCollect || pass == SourcePass::kReduce;
+    int64_t remaining = limit_;
+    for (size_t i = 0; i < store_->num_segments() && remaining > 0; ++i) {
+      PROCMINE_ASSIGN_OR_RETURN(std::shared_ptr<const EventLog> window,
+                                store_->Segment(i));
+      if (window->num_executions() == 0) continue;
+      static obs::Counter* visited =
+          obs::MetricsRegistry::Get().GetCounter("ooc.windows_visited");
+      visited->Increment();
+      if (tallied && stats_ != nullptr) ++stats_->windows;
       EventLog trimmed;
-      trimmed.dictionary() = window->dictionary();
-      for (int64_t e = 0; e < remaining; ++e) {
-        trimmed.AddExecution(window->execution(static_cast<size_t>(e)));
+      const EventLog* visible = window.get();
+      if (static_cast<int64_t>(window->num_executions()) > remaining) {
+        trimmed = TakeExecutions(*window, static_cast<size_t>(remaining));
+        visible = &trimmed;
       }
-      remaining = 0;
-      PROCMINE_ASSIGN_OR_RETURN(keep_going, fn(trimmed));
+      remaining -= static_cast<int64_t>(visible->num_executions());
+      if (pass == SourcePass::kCollect) CountMined(*visible);
+      PROCMINE_ASSIGN_OR_RETURN(bool keep_going, fn(*visible));
+      if (!keep_going) break;
     }
-    if (!keep_going) break;
+    return Status::OK();
   }
-  return Status::OK();
-}
 
-// A window as some pass wants to see it: either the decoded window itself
-// (identity) or a rewrite into `scratch` (the cyclic relabel).
-using WindowView =
-    std::function<const EventLog*(const EventLog& window, EventLog* scratch)>;
-
-std::unique_ptr<ThreadPool> MaybePool(int num_threads, int64_t executions) {
-  const int resolved = ResolveThreadCount(num_threads);
-  if (resolved > 1 &&
-      executions >=
-          static_cast<int64_t>(ThreadPool::kSmallInputInlineThreshold)) {
-    return std::make_unique<ThreadPool>(resolved);
-  }
-  return nullptr;
-}
-
-// Steps 1-2 over every window: per-window CollectPrecedenceEdges, counters
-// summed. Windows partition the executions, and the per-execution dedup in
-// CollectSpan never crosses executions, so the summed counts equal the
-// one-shot in-memory collection.
-Status CollectWindows(SegmentStore* store, int64_t limit, ThreadPool* pool,
-                      size_t chunk_size, const WindowView& view,
-                      OocMineStats* stats, EdgeCounts* total) {
-  PROCMINE_SPAN("ooc.collect");
-  PROCMINE_PHASE("ooc.collect");
-  EventLog scratch;
-  return ForEachWindow(
-      store, limit, stats, [&](const EventLog& w) -> Result<bool> {
-        const EventLog* log = view(w, &scratch);
-        if (stats != nullptr) {
-          stats->executions += static_cast<int64_t>(log->num_executions());
-          stats->events += 2 * log->TotalInstances();
-        }
-        static obs::Counter* mined =
-            obs::MetricsRegistry::Get().GetCounter("ooc.executions_mined");
-        mined->Add(static_cast<int64_t>(log->num_executions()));
-        EdgeCounts counts =
-            CollectPrecedenceEdges(*log, pool, nullptr, chunk_size);
-        for (const auto& [key, count] : counts) (*total)[key] += count;
-        return true;
-      });
-}
-
-// Steps 5-6 over every window: MarkReductionEdges per shard against the
-// global post-SCC DAG, one memo shared across windows, marked sets unioned.
-Status ReduceWindows(SegmentStore* store, int64_t limit, ThreadPool* pool,
-                     size_t chunk_size, const WindowView& view,
-                     const DirectedGraph& g, RunBudget* budget,
-                     OocMineStats* stats, bool* budget_aborted,
-                     std::unordered_set<uint64_t>* marked) {
-  PROCMINE_SPAN("general_dag.reduce");
-  PROCMINE_PHASE("ooc.reduce");
-  ReductionMemo memo;
-  EventLog scratch;
-  const int threads = pool == nullptr ? 1 : pool->num_threads();
-  return ForEachWindow(
-      store, limit, stats, [&](const EventLog& w) -> Result<bool> {
-        const EventLog* log = view(w, &scratch);
-        std::vector<ExecutionSpan> spans = log->Shards(
-            PlanChunks(log->num_executions(), threads, chunk_size));
-        std::vector<std::unordered_set<uint64_t>> shard_marked(spans.size());
-        std::vector<Status> shard_status(spans.size());
-        std::vector<uint8_t> shard_aborted(spans.size(), 0);
-        auto run_shard = [&](size_t s) {
-          bool aborted = false;
-          shard_status[s] = mine_internal::MarkReductionEdges(
-              *log, g, spans[s], &memo, budget, &aborted, &shard_marked[s]);
-          shard_aborted[s] = aborted ? 1 : 0;
-        };
-        if (pool != nullptr && spans.size() > 1) {
-          pool->ParallelForChunked(spans.size(), run_shard);
-        } else {
-          for (size_t s = 0; s < spans.size(); ++s) run_shard(s);
-        }
-        for (const Status& st : shard_status) {
-          if (!st.ok()) return st;
-        }
-        for (uint8_t aborted : shard_aborted) {
-          if (aborted != 0) {
-            *budget_aborted = true;
-            return false;
-          }
-        }
-        for (auto& shard : shard_marked) {
-          marked->insert(shard.begin(), shard.end());
-        }
-        return true;
-      });
-}
-
-// The Algorithm 2 phase chain (collect / build / 2-cycles / SCC / reduce)
-// over windows, in the id space `view` maps windows into (base ids for the
-// general miner, labeled ids for the cyclic miner's inner run). Phase names
-// and degradation texts match GeneralDagMiner::Mine.
-Result<DirectedGraph> GeneralWindowedDag(SegmentStore* store, int64_t limit,
-                                         const MinerOptions& options, NodeId n,
-                                         ThreadPool* pool,
-                                         const WindowView& view, bool validate,
-                                         OocMineStats* stats) {
-  if (validate) {
-    PROCMINE_SPAN("general_dag.validate");
-    EventLog scratch;
-    PROCMINE_RETURN_NOT_OK(ForEachWindow(
-        store, limit, nullptr, [&](const EventLog& w) -> Result<bool> {
-          const EventLog* log = view(w, &scratch);
-          for (const Execution& exec : log->executions()) {
-            PROCMINE_RETURN_NOT_OK(mine_internal::ValidateNoRepeats(
-                exec, log->dictionary(), n));
-          }
-          return true;
-        }));
-  }
-  if (BudgetCut(options.budget, options.degradation, "general_dag.collect",
-                kCollectDropped)) {
-    return DirectedGraph(n);
-  }
-  EdgeCounts counts;
-  PROCMINE_RETURN_NOT_OK(CollectWindows(store, limit, pool,
-                                        options.chunk_size, view, stats,
-                                        &counts));
-  DirectedGraph g =
-      BuildPrecedenceGraph(counts, n, options.noise_threshold, nullptr);
-  RemoveTwoCycles(&g, nullptr);
-  RemoveIntraSccEdges(&g, nullptr);
-  if (BudgetCut(options.budget, options.degradation, "general_dag.reduce",
-                kReduceDropped)) {
-    return g;
-  }
-  std::unordered_set<uint64_t> marked;
-  bool budget_aborted = false;
-  PROCMINE_RETURN_NOT_OK(ReduceWindows(store, limit, pool,
-                                       options.chunk_size, view, g,
-                                       options.budget, stats, &budget_aborted,
-                                       &marked));
-  if (budget_aborted) {
-    BudgetCut(options.budget, options.degradation, "general_dag.reduce",
-              kReduceDropped);
-    return g;
-  }
-  static obs::Counter* kept = obs::MetricsRegistry::Get().GetCounter(
-      "general_dag.reduction_edges_marked");
-  kept->Add(static_cast<int64_t>(marked.size()));
-  DirectedGraph result(n);
-  for (uint64_t key : marked) {
-    Edge e = UnpackEdge(key);
-    result.AddEdge(e.from, e.to);
-  }
-  return result;
-}
-
-const EventLog* IdentityView(const EventLog& window, EventLog*) {
-  return &window;
-}
-
-Result<ProcessGraph> MineSpecial(SegmentStore* store, int64_t limit,
-                                 const MinerOptions& options,
-                                 OocMineStats* stats) {
-  PROCMINE_SPAN("special_dag.mine");
-  const NodeId n = store->dictionary().size();
-  if (n == 0) return Status::InvalidArgument("log is empty");
-  {
-    PROCMINE_SPAN("special_dag.validate");
-    PROCMINE_RETURN_NOT_OK(ForEachWindow(
-        store, limit, nullptr, [&](const EventLog& w) -> Result<bool> {
-          for (const Execution& exec : w.executions()) {
-            PROCMINE_RETURN_NOT_OK(mine_internal::ValidateExactlyOnce(
-                exec, w.dictionary(), n));
-          }
-          return true;
-        }));
-  }
-  if (BudgetCut(options.budget, options.degradation, "special_dag.collect",
-                kCollectDropped)) {
-    return ProcessGraph(DirectedGraph(n), store->dictionary().names());
-  }
-  std::unique_ptr<ThreadPool> pool = MaybePool(options.num_threads, limit);
-  EdgeCounts counts;
-  PROCMINE_RETURN_NOT_OK(CollectWindows(store, limit, pool.get(),
-                                        options.chunk_size, IdentityView,
-                                        stats, &counts));
-  DirectedGraph g =
-      BuildPrecedenceGraph(counts, n, options.noise_threshold, nullptr);
-  RemoveTwoCycles(&g, nullptr);
-  if (BudgetCut(options.budget, options.degradation, "special_dag.reduce",
-                "transitive reduction skipped; the model may contain "
-                "redundant (transitively implied) edges")) {
-    return ProcessGraph(std::move(g), store->dictionary().names());
-  }
-  PROCMINE_SPAN("special_dag.reduce");
-  Result<DirectedGraph> reduced = TransitiveReduction(g);
-  if (!reduced.ok()) {
-    return Status::FailedPrecondition(
-        "precedence graph is cyclic after removing 2-cycles; the log "
-        "violates the special-DAG assumptions (try GeneralDagMiner or a "
-        "higher noise threshold): " +
-        reduced.status().message());
-  }
-  return ProcessGraph(reduced.MoveValueOrDie(), store->dictionary().names());
-}
-
-Result<ProcessGraph> MineGeneral(SegmentStore* store, int64_t limit,
-                                 const MinerOptions& options,
-                                 OocMineStats* stats) {
-  PROCMINE_SPAN("general_dag.mine");
-  const NodeId n = store->dictionary().size();
-  if (n == 0) return Status::InvalidArgument("log is empty");
-  std::unique_ptr<ThreadPool> pool = MaybePool(options.num_threads, limit);
-  PROCMINE_ASSIGN_OR_RETURN(
-      DirectedGraph dag,
-      GeneralWindowedDag(store, limit, options, n, pool.get(), IdentityView,
-                         /*validate=*/true, stats));
-  return ProcessGraph(std::move(dag), store->dictionary().names());
-}
-
-Result<ProcessGraph> MineCyclic(SegmentStore* store, int64_t limit,
-                                const MinerOptions& options,
-                                OocMineStats* stats) {
-  PROCMINE_SPAN("cyclic.mine");
-  const NodeId n = store->dictionary().size();
-  if (n == 0) return Status::InvalidArgument("log is empty");
-  if (BudgetCut(options.budget, options.degradation, "cyclic.label",
-                "occurrence labeling and all later phases skipped; the "
-                "model has no edges")) {
-    return ProcessGraph(DirectedGraph(n), store->dictionary().names());
-  }
-  std::unique_ptr<ThreadPool> pool = MaybePool(options.num_threads, limit);
-
-  // Steps 2-3: stream the store through pass 1 of the labeling. Windows
-  // arrive in log order, so the label dictionary matches the in-memory
-  // first-encounter interning order exactly.
-  OccurrenceLabeler labeler;
-  {
-    PROCMINE_SPAN("cyclic.label");
-    PROCMINE_RETURN_NOT_OK(ForEachWindow(
-        store, limit, nullptr, [&](const EventLog& w) -> Result<bool> {
-          for (const Execution& exec : w.executions()) {
-            labeler.Observe(exec, w.dictionary());
-          }
-          return true;
-        }));
-  }
-  const NodeId labeled_n = labeler.labeled_dictionary().size();
-  static obs::Counter* labels =
-      obs::MetricsRegistry::Get().GetCounter("cyclic.labels_created");
-  labels->Add(labeled_n);
-
-  // Steps 3-7: the Algorithm 2 machinery in the labeled id space, each
-  // window relabeled on the fly (the labeled log is never whole in memory).
-  // The labeled log is repeat-free by construction, so validation is
-  // skipped (it cannot fail).
-  WindowView relabel = [&labeler](const EventLog& window,
-                                  EventLog* scratch) -> const EventLog* {
-    *scratch = EventLog();
-    scratch->dictionary() = labeler.labeled_dictionary();
-    for (const Execution& exec : window.executions()) {
-      scratch->AddExecution(labeler.Relabel(exec));
+ private:
+  void CountMined(const EventLog& window) {
+    static obs::Counter* mined =
+        obs::MetricsRegistry::Get().GetCounter("ooc.executions_mined");
+    mined->Add(static_cast<int64_t>(window.num_executions()));
+    if (stats_ != nullptr) {
+      stats_->executions += static_cast<int64_t>(window.num_executions());
+      stats_->events += 2 * window.TotalInstances();
     }
-    return scratch;
-  };
-  PROCMINE_ASSIGN_OR_RETURN(
-      DirectedGraph labeled_dag,
-      GeneralWindowedDag(store, limit, options, labeled_n, pool.get(),
-                         relabel, /*validate=*/false, stats));
-
-  // Step 8: merge equivalent sets; keep edges between different activities.
-  PROCMINE_SPAN("cyclic.merge");
-  const std::vector<ActivityId>& labeled_to_base = labeler.labeled_to_base();
-  DirectedGraph merged(n);
-  for (const Edge& e : labeled_dag.Edges()) {
-    ActivityId from = labeled_to_base[static_cast<size_t>(e.from)];
-    ActivityId to = labeled_to_base[static_cast<size_t>(e.to)];
-    if (from != to) merged.AddEdge(from, to);
   }
-  return ProcessGraph(std::move(merged), store->dictionary().names());
-}
+
+  SegmentStore* store_;
+  OocMineStats* stats_;
+  int64_t limit_;
+};
 
 }  // namespace
 
@@ -348,86 +94,15 @@ Result<ProcessGraph> OutOfCoreMiner::Mine(SegmentStore* store,
                                           OocMineStats* stats) const {
   PROCMINE_SPAN("ooc.mine");
   PROCMINE_PHASE("ooc.mine");
-  if (store->num_executions() == 0) {
-    return Status::InvalidArgument("log is empty");
-  }
-  if (options_.provenance != nullptr) {
+  // Evidence indices would be window-local. (An empty store still fails as
+  // an empty log does.)
+  if (options_.provenance != nullptr && store->num_executions() > 0) {
     return Status::InvalidArgument(
         "provenance recording needs the whole log resident; use the "
         "in-memory mining path for run reports");
   }
-
-  // --max-executions applies at the facade, exactly as in ProcessMiner:
-  // mine only the first N executions and record the truncation.
-  int64_t limit = store->num_executions();
-  if (options_.budget != nullptr &&
-      options_.budget->OverExecutionLimit(store->num_executions())) {
-    const int64_t keep = options_.budget->limits().max_executions;
-    if (options_.degradation != nullptr && !options_.degradation->degraded) {
-      options_.degradation->degraded = true;
-      options_.degradation->resource = BudgetResource::kExecutions;
-      options_.degradation->cut_phase = "miner.input";
-      options_.degradation->dropped = StrFormat(
-          "%lld of %lld executions beyond --max-executions ignored",
-          static_cast<long long>(store->num_executions() - keep),
-          static_cast<long long>(store->num_executions()));
-    }
-    limit = keep;
-    if (limit == 0) {
-      return Status::InvalidArgument("max-executions leaves the log empty");
-    }
-  }
-
-  // Progress denominators for the telemetry status surface: how much work
-  // this mine will visit (a watcher divides windows_visited / executions
-  // mined by these to get a fraction).
-  static obs::Gauge* windows_total =
-      obs::MetricsRegistry::Get().GetGauge("ooc.windows_total");
-  static obs::Gauge* executions_total =
-      obs::MetricsRegistry::Get().GetGauge("progress.executions_total");
-  windows_total->Set(static_cast<int64_t>(store->num_segments()));
-  executions_total->Set(limit);
-
-  MinerAlgorithm algorithm = options_.algorithm;
-  if (algorithm == MinerAlgorithm::kAuto) {
-    PROCMINE_SPAN("ooc.select");
-    const NodeId n = store->dictionary().size();
-    bool cyclic = false;
-    bool all_exactly_once = true;
-    std::vector<bool> seen(static_cast<size_t>(n));
-    PROCMINE_RETURN_NOT_OK(ForEachWindow(
-        store, limit, nullptr, [&](const EventLog& w) -> Result<bool> {
-          for (const Execution& exec : w.executions()) {
-            std::fill(seen.begin(), seen.end(), false);
-            for (const ActivityInstance& inst : exec.instances()) {
-              if (seen[static_cast<size_t>(inst.activity)]) {
-                cyclic = true;
-                return false;  // repeats => cyclic; stop scanning
-              }
-              seen[static_cast<size_t>(inst.activity)] = true;
-            }
-            if (exec.size() != static_cast<size_t>(n)) {
-              all_exactly_once = false;
-            }
-          }
-          return true;
-        }));
-    algorithm = cyclic ? MinerAlgorithm::kCyclic
-                       : (all_exactly_once ? MinerAlgorithm::kSpecialDag
-                                           : MinerAlgorithm::kGeneralDag);
-  }
-
-  switch (algorithm) {
-    case MinerAlgorithm::kSpecialDag:
-      return MineSpecial(store, limit, options_, stats);
-    case MinerAlgorithm::kGeneralDag:
-      return MineGeneral(store, limit, options_, stats);
-    case MinerAlgorithm::kCyclic:
-      return MineCyclic(store, limit, options_, stats);
-    case MinerAlgorithm::kAuto:
-      break;
-  }
-  return Status::Internal("unreachable: unresolved miner algorithm");
+  StoreSource source(store, stats);
+  return mine_internal::MineSource(&source, options_);
 }
 
 }  // namespace procmine

@@ -1,29 +1,17 @@
-// Out-of-core mining: the three paper algorithms over a SegmentStore,
-// one bounded window at a time.
+// Out-of-core mining: the three paper algorithms over a SegmentStore, one
+// bounded window at a time.
 //
-// The in-memory miners already shard every per-execution pass and merge
-// with order-independent operations (edge-counter sums, marked-set unions,
-// first-encounter label interning in log order). This driver exploits
-// exactly that: it walks the store's segments in order, runs each phase's
-// per-execution work on one decoded window at a time, and folds the
-// results into the same global accumulators — so the model that comes out
-// is byte-identical to ProcessMiner::Mine on the materialized log, at any
-// threads x chunk-size x segment-size, while resident memory stays bounded
-// by the store's LRU cache plus one window's accumulators.
-//
-// Per-pass shape:
-//   validate   one streaming pass (first bad execution, same error text)
-//   select     kAuto only: one streaming pass mirroring SelectAlgorithm
-//   collect    CollectPrecedenceEdges per window, counters summed
-//   reduce     MarkReductionEdges per window against the global DAG, with
-//              one ReductionMemo shared across windows (general/cyclic)
-//   label      OccurrenceLabeler streamed over the store; windows are
-//              relabeled on the fly for the inner Algorithm 2 passes
-//              (the labeled log is never materialized whole)
-//
-// Budget semantics match the in-memory path: the same BudgetCut phases fire
-// in the same order, so a budget-degraded out-of-core run returns the same
-// partial model and DegradationInfo as the in-memory run would.
+// OutOfCoreMiner runs the one mining driver (mine/driver.h) over the store
+// as a many-window source: each pass (select, validate, label, collect,
+// reduce) visits the store's segments in order, one decoded window at a
+// time, and folds per-window results into the same order-independent
+// accumulators ProcessMiner uses on a resident log. The model, the errors
+// and any budget DegradationInfo are therefore byte-identical to
+// ProcessMiner::Mine on the materialized log, at any threads x chunk-size x
+// segment-size, while resident memory stays bounded by the store's LRU
+// cache plus one window's accumulators. Algorithm 3 streams its label pass
+// over the store and relabels each window as a later pass visits it, so the
+// labeled log is never whole in memory.
 //
 // Unsupported: provenance recording (run reports index executions globally
 // and want the whole log resident — use the in-memory path for those).
@@ -40,10 +28,10 @@
 
 namespace procmine {
 
-/// What one out-of-core run touched (window loads are counted per pass, so
-/// a general-DAG run over S segments reports ~2S windows).
+/// What one out-of-core run touched (window loads are counted in the collect
+/// and reduce passes, so a general-DAG run over S segments reports ~2S).
 struct OocMineStats {
-  int64_t windows = 0;     ///< window visits across all passes
+  int64_t windows = 0;     ///< window visits of the collect and reduce passes
   int64_t executions = 0;  ///< executions mined (after any --max-executions cap)
   int64_t events = 0;      ///< raw events mined (2 x instances)
 };

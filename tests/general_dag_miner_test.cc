@@ -98,28 +98,6 @@ TEST(GeneralDagMinerTest, RejectsEmptyLog) {
   EXPECT_FALSE(GeneralDagMiner().Mine(log).ok());
 }
 
-TEST(GeneralDagMinerTest, MemoizationDoesNotChangeResult) {
-  ProcessGraph truth;
-  {
-    RandomDagOptions options;
-    options.num_activities = 12;
-    options.edge_density = 0.4;
-    options.seed = 3;
-    truth = GenerateRandomDag(options);
-  }
-  auto log = GenerateWalkLog(truth, {.num_executions = 200, .seed = 4});
-  ASSERT_TRUE(log.ok());
-
-  GeneralDagMinerOptions with, without;
-  with.memoize_reductions = true;
-  without.memoize_reductions = false;
-  auto a = GeneralDagMiner(with).Mine(*log);
-  auto b = GeneralDagMiner(without).Mine(*log);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(a->graph() == b->graph());
-}
-
 TEST(GeneralDagMinerTest, MinedGraphIsAlwaysAcyclic) {
   EventLog log = EventLog::FromCompactStrings(
       {"ABCF", "ACDF", "ADEF", "AECF", "ABF", "AF"});

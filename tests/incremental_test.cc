@@ -6,7 +6,9 @@
 
 #include "mine/general_dag_miner.h"
 #include "mine/metrics.h"
+#include "mine/miner.h"
 #include "synth/log_generator.h"
+#include "synth/noise_injector.h"
 #include "synth/random_dag.h"
 
 namespace procmine {
@@ -47,6 +49,42 @@ TEST(IncrementalMinerTest, MatchesBatchOnRandomWalkerLogs) {
   auto streamed = incremental.CurrentGraph();
   ASSERT_TRUE(streamed.ok());
   EXPECT_TRUE(CompareByName(*batch, *streamed).ExactMatch());
+}
+
+// The incremental query runs the driver's Algorithm 2 core on counters and
+// distinct activity sets; on a noisy log at T > 1 it must equal the batch
+// facade run on a thread pool.
+TEST(IncrementalMinerTest, MatchesProcessMinerOnNoisyLogAboveThreshold) {
+  RandomDagOptions options;
+  options.num_activities = 14;
+  options.edge_density = 0.4;
+  options.seed = 8;
+  ProcessGraph truth = GenerateRandomDag(options);
+  auto clean = GenerateWalkLog(truth, {.num_executions = 400, .seed = 9});
+  ASSERT_TRUE(clean.ok());
+  NoiseOptions noise;
+  noise.swap_rate = 0.05;
+  noise.delete_rate = 0.05;
+  noise.seed = 10;
+  EventLog log = InjectNoise(*clean, noise);
+
+  for (int64_t threshold : {2, 5}) {
+    MinerOptions batch_options;
+    batch_options.algorithm = MinerAlgorithm::kGeneralDag;
+    batch_options.noise_threshold = threshold;
+    batch_options.num_threads = 4;
+    auto batch = ProcessMiner(batch_options).Mine(log);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+
+    IncrementalMiner incremental({.noise_threshold = threshold});
+    ASSERT_TRUE(incremental.AddLog(log).ok());
+    auto streamed = incremental.CurrentGraph();
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    EXPECT_TRUE(CompareByName(*batch, *streamed).ExactMatch())
+        << "threshold=" << threshold;
+    EXPECT_EQ(batch->graph().num_edges(), streamed->graph().num_edges())
+        << "threshold=" << threshold;
+  }
 }
 
 TEST(IncrementalMinerTest, AddSequenceInterface) {

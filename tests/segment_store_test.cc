@@ -13,13 +13,19 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <set>
 #include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "log/event_log.h"
+#include "log/reader.h"
+#include "log/writer.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "mine/miner.h"
 #include "mine/ooc_miner.h"
 #include "synth/log_generator.h"
@@ -826,6 +832,228 @@ TEST_F(OocIdentityTest, MaxExecutionsDegradationParity) {
             static_cast<int>(ref_degradation.resource));
   EXPECT_EQ(ooc_degradation.cut_phase, ref_degradation.cut_phase);
   EXPECT_EQ(ooc_degradation.dropped, ref_degradation.dropped);
+}
+
+// The driver-parity grid: every algorithm (special, general, cyclic, auto)
+// over three sources (the resident log, a 1-segment store, a many-segment
+// store) at threads {1, 4} under three budgets (none, an expired deadline,
+// --max-executions). The DOT and the DegradationInfo must be byte-identical
+// across sources and thread counts.
+TEST_F(OocIdentityTest, DriverParityGrid) {
+  std::vector<std::string> exactly_once;
+  std::vector<std::string> cyclic;
+  for (int i = 0; i < 48; ++i) {
+    exactly_once.push_back(i % 3 == 0 ? "ABCDEF"
+                                      : (i % 3 == 1 ? "ACBDEF" : "ABDCEF"));
+    cyclic.push_back(i % 3 == 0 ? "ABABCE" : (i % 3 == 1 ? "ABCBCE" : "ACE"));
+  }
+  RandomDagOptions dag_options;
+  dag_options.num_activities = 10;
+  dag_options.edge_density = PaperEdgeDensity(10);
+  dag_options.seed = 21;
+  WalkLogOptions walk;
+  walk.num_executions = 120;
+  walk.seed = 22;
+  auto general = GenerateWalkLog(GenerateRandomDag(dag_options), walk);
+  ASSERT_TRUE(general.ok());
+  const struct {
+    MinerAlgorithm algorithm;
+    EventLog log;
+  } kLogs[] = {
+      {MinerAlgorithm::kSpecialDag, EventLog::FromCompactStrings(exactly_once)},
+      {MinerAlgorithm::kGeneralDag, *general},
+      {MinerAlgorithm::kCyclic, EventLog::FromCompactStrings(cyclic)},
+  };
+  enum class Budget { kNone, kExpiredDeadline, kMaxExecutions };
+
+  for (const auto& [algorithm, source_log] : kLogs) {
+    std::vector<std::unique_ptr<SegmentStore>> stores;
+    for (int64_t segment_events : {int64_t{1} << 20, int64_t{24}}) {
+      const std::string dir =
+          dir_ + "/seg" + std::to_string(segment_events) + "_" +
+          std::to_string(static_cast<int>(algorithm));
+      SegmentStoreOptions store_options;
+      store_options.target_segment_events = segment_events;
+      auto writer = SegmentedLogWriter::Create(dir, store_options);
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      ASSERT_TRUE(writer->AppendLog(source_log).ok());
+      ASSERT_TRUE(writer->Finish().ok());
+      auto store = SegmentStore::Open(dir, store_options);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      stores.push_back(std::make_unique<SegmentStore>(std::move(*store)));
+    }
+    ASSERT_EQ(stores[0]->num_segments(), 1u);
+    ASSERT_GT(stores[1]->num_segments(), 4u);
+    // The store's dictionary is in first-use order; its materialized log is
+    // the resident source with the same ids.
+    auto resident = stores[0]->Materialize();
+    ASSERT_TRUE(resident.ok());
+
+    for (MinerAlgorithm selected : {algorithm, MinerAlgorithm::kAuto}) {
+      for (Budget budget_kind : {Budget::kNone, Budget::kExpiredDeadline,
+                                 Budget::kMaxExecutions}) {
+        std::string reference;
+        for (int threads : {1, 4}) {
+          for (int source = 0; source < 3; ++source) {
+            RunBudget::Limits limits;
+            if (budget_kind == Budget::kExpiredDeadline) limits.deadline_ms = 0;
+            // A short prefix, cut inside a window: its model differs from
+            // the whole log's, so a pass that ignored the cut would show.
+            if (budget_kind == Budget::kMaxExecutions) limits.max_executions = 5;
+            RunBudget budget(limits);
+            budget.Start();
+            DegradationInfo degradation;
+            MinerOptions options;
+            options.algorithm = selected;
+            options.num_threads = threads;
+            options.budget = &budget;
+            options.degradation = &degradation;
+            auto model =
+                source == 0
+                    ? ProcessMiner(options).Mine(*resident)
+                    : OutOfCoreMiner(options).Mine(stores[source - 1].get());
+            const std::string context = StrFormat(
+                "algorithm=%d selected=%d budget=%d threads=%d source=%d",
+                static_cast<int>(algorithm), static_cast<int>(selected),
+                static_cast<int>(budget_kind), threads, source);
+            ASSERT_TRUE(model.ok()) << context << ": "
+                                    << model.status().ToString();
+            EXPECT_EQ(degradation.degraded, budget_kind != Budget::kNone)
+                << context;
+            const std::string cell = StrFormat(
+                "%s\ndegraded=%d resource=%s cut=%s dropped=%s",
+                model->ToDot().c_str(), degradation.degraded ? 1 : 0,
+                std::string(BudgetResourceName(degradation.resource)).c_str(),
+                degradation.cut_phase.c_str(), degradation.dropped.c_str());
+            if (reference.empty()) {
+              reference = cell;
+            } else {
+              EXPECT_EQ(cell, reference) << context;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The telemetry names docs/observability.md documents still fire for the run
+// kind they fire for: the ooc.* names on store mines only, the Algorithm 2/3
+// names on both kinds. A general-DAG store mine loads each segment once per
+// pass (select, validate, collect, reduce) and no more.
+class MinerTelemetryTest : public SegmentStoreTest {
+ protected:
+  struct Fired {
+    std::set<std::string> spans;
+    std::map<std::string, int64_t> counters;
+    std::map<std::string, int64_t> gauges;
+  };
+
+  template <typename MineFn>
+  static Fired Record(MineFn&& mine) {
+    obs::SetTracingEnabled(true);
+    obs::SetMetricsEnabled(true);
+    obs::TraceRecorder::Get().Reset();
+    obs::MetricsRegistry::Get().ResetAll();
+    mine();
+    Fired fired;
+    for (const obs::SpanEvent& span : obs::TraceRecorder::Get().Snapshot()) {
+      fired.spans.insert(span.name);
+    }
+    obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Get().Snapshot();
+    for (const auto& counter : snapshot.counters) {
+      fired.counters[counter.name] = counter.value;
+    }
+    for (const auto& gauge : snapshot.gauges) {
+      fired.gauges[gauge.name] = gauge.value;
+    }
+    obs::SetTracingEnabled(false);
+    obs::SetMetricsEnabled(false);
+    return fired;
+  }
+};
+
+TEST_F(MinerTelemetryTest, NamesFireForTheirRunKind) {
+  RandomDagOptions dag_options;
+  dag_options.num_activities = 12;
+  dag_options.edge_density = PaperEdgeDensity(12);
+  dag_options.seed = 31;
+  WalkLogOptions walk;
+  walk.num_executions = 200;
+  walk.seed = 32;
+  auto general = GenerateWalkLog(GenerateRandomDag(dag_options), walk);
+  ASSERT_TRUE(general.ok());
+  std::vector<std::string> repeats;
+  for (int i = 0; i < 40; ++i) repeats.push_back(i % 2 ? "ABABCE" : "ACE");
+  const EventLog cyclic = EventLog::FromCompactStrings(repeats);
+
+  MinerOptions options;
+  options.num_threads = 4;
+
+  // A store whose resident cache holds no segment: every visit is a load.
+  SegmentStoreOptions store_options;
+  store_options.target_segment_events = 256;
+  WriteStore(*general, store_options);
+  store_options.max_resident_bytes = 1;
+  auto store = SegmentStore::Open(dir_, store_options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const int64_t segments = static_cast<int64_t>(store->num_segments());
+  ASSERT_GT(segments, 2);
+  Fired on_store = Record([&] {
+    ASSERT_TRUE(OutOfCoreMiner(options).Mine(&*store).ok());
+  });
+  EXPECT_GT(store->Footprint().loads, 0);
+  EXPECT_LE(store->Footprint().loads, 4 * segments);
+  for (const char* span : {"ooc.mine", "general_dag.mine",
+                           "general_dag.reduce"}) {
+    EXPECT_EQ(on_store.spans.count(span), 1u) << span;
+  }
+  for (const char* counter :
+       {"ooc.windows_visited", "ooc.executions_mined",
+        "general_dag.reduction_edges_marked"}) {
+    EXPECT_GT(on_store.counters[counter], 0) << counter;
+  }
+  EXPECT_GT(on_store.counters["general_dag.memo_hits"] +
+                on_store.counters["general_dag.memo_misses"],
+            0);
+  EXPECT_EQ(on_store.counters["ooc.executions_mined"],
+            static_cast<int64_t>(general->num_executions()));
+  EXPECT_EQ(on_store.gauges["ooc.windows_total"], segments);
+  EXPECT_EQ(on_store.gauges["progress.executions_total"],
+            static_cast<int64_t>(general->num_executions()));
+
+  // The same log mined from a text file: Algorithm 2's names, no ooc.* ones.
+  const std::string text_path = dir_ + "/general.log";
+  ASSERT_TRUE(LogWriter::WriteFile(*general, text_path).ok());
+  auto text_log = LogReader::ReadFile(text_path);
+  ASSERT_TRUE(text_log.ok()) << text_log.status().ToString();
+  Fired on_text = Record([&] {
+    ASSERT_TRUE(ProcessMiner(options).Mine(*text_log).ok());
+  });
+  EXPECT_EQ(on_text.spans.count("general_dag.reduce"), 1u);
+  EXPECT_EQ(on_text.spans.count("ooc.mine"), 0u);
+  EXPECT_GT(on_text.counters["general_dag.memo_hits"] +
+                on_text.counters["general_dag.memo_misses"],
+            0);
+  EXPECT_EQ(on_text.counters["ooc.windows_visited"], 0);
+  EXPECT_EQ(on_text.counters["ooc.executions_mined"], 0);
+  EXPECT_EQ(on_text.gauges["ooc.windows_total"], 0);
+  EXPECT_EQ(on_text.gauges["progress.executions_total"], 0);
+
+  // Algorithm 3 creates its labels on both kinds.
+  Fired cyclic_in_memory = Record([&] {
+    ASSERT_TRUE(ProcessMiner(options).Mine(cyclic).ok());
+  });
+  EXPECT_GT(cyclic_in_memory.counters["cyclic.labels_created"], 0);
+  SetUp();
+  WriteStore(cyclic, SegmentStoreOptions());
+  auto cyclic_store = SegmentStore::Open(dir_);
+  ASSERT_TRUE(cyclic_store.ok());
+  Fired cyclic_on_store = Record([&] {
+    ASSERT_TRUE(OutOfCoreMiner(options).Mine(&*cyclic_store).ok());
+  });
+  EXPECT_EQ(cyclic_on_store.counters["cyclic.labels_created"],
+            cyclic_in_memory.counters["cyclic.labels_created"]);
 }
 
 TEST_F(OocIdentityTest, EmptyStoreMinesLikeEmptyLog) {

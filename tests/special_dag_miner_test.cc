@@ -70,15 +70,6 @@ TEST(SpecialDagMinerTest, RejectsEmptyLog) {
   EXPECT_FALSE(SpecialDagMiner().Mine(log).ok());
 }
 
-TEST(SpecialDagMinerTest, EnforcementCanBeDisabled) {
-  EventLog log = EventLog::FromCompactStrings({"ABC", "AC"});
-  SpecialDagMinerOptions options;
-  options.enforce_exactly_once = false;
-  auto mined = SpecialDagMiner(options).Mine(log);
-  // Not guaranteed conformal, but must not fail structurally here.
-  EXPECT_TRUE(mined.ok());
-}
-
 TEST(SpecialDagMinerTest, MinedGraphIsTransitivelyReduced) {
   EventLog log = EventLog::FromCompactStrings(
       {"ABCDE", "ACDBE", "ACBDE", "ABCDE"});
