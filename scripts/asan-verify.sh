@@ -9,9 +9,9 @@
 # wire/journal decoders (length-prefixed frames and crc-framed journal
 # records parsed from hostile or torn byte streams), and the mining driver
 # every mine runs through (the in-memory miners, the incremental miner, the
-# parallel-determinism sweep and the driver-parity grid). Run whenever
-# src/log/segment_store, src/mine/, src/obs/telemetry, src/serve/, or the
-# binary-log salvage path changes.
+# parallel-determinism sweep, the driver-parity grid and `explain`'s
+# provenance rendering). Run whenever src/log/segment_store, src/mine/,
+# src/obs/telemetry, src/serve/, or the binary-log salvage path changes.
 #
 # Usage: scripts/asan-verify.sh [build-dir]   (default: build-asan)
 
@@ -29,7 +29,8 @@ cmake --build "$BUILD_DIR" -j \
   --target segment_store_test binary_log_test recovery_test \
            format_fuzz_test budget_test telemetry_test serve_test \
            miner_test special_dag_miner_test general_dag_miner_test \
-           cyclic_miner_test incremental_test parallel_determinism_test
+           cyclic_miner_test incremental_test parallel_determinism_test \
+           explain_test
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|FormatFuzz|RunBudget|Telemetry|Serve|Miner|GeneralDag|CyclicMiner|IncrementalMiner|ParallelDeterminism'
+  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|FormatFuzz|RunBudget|Telemetry|Serve|Miner|GeneralDag|CyclicMiner|IncrementalMiner|ParallelDeterminism|Explain|TraceTest'

@@ -14,9 +14,11 @@
 # race it), and the streaming server (concurrent submitters multiplexing
 # sessions onto the pump + thread pool, plus the socket front end's
 # connection threads racing a hostile client), and the mining driver every
-# mine runs through (the in-memory miners, the incremental miner and the
-# driver-parity grid). Run whenever the parallel pipeline, src/mine/,
-# src/obs/, the ingestion layer, the segment store, or src/serve/ changes.
+# mine runs through (the in-memory miners, the incremental miner, the
+# driver-parity grid, and `explain`'s provenance, whose step 5-6 witness
+# evidence the reduce shards fill and merge). Run whenever the parallel
+# pipeline, src/mine/, src/obs/, the ingestion layer, the segment store, or
+# src/serve/ changes.
 #
 # Usage: scripts/tsan-verify.sh [build-dir]   (default: build-tsan)
 
@@ -37,7 +39,8 @@ cmake --build "$BUILD_DIR" -j \
            recovery_test failpoint_test budget_test \
            drift_test registry_test segment_store_test telemetry_test \
            serve_test miner_test special_dag_miner_test \
-           general_dag_miner_test cyclic_miner_test incremental_test
+           general_dag_miner_test cyclic_miner_test incremental_test \
+           explain_test
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'Obs|ThreadPool|StripedMemo|ParallelDeterminism|IngestEquivalence|MappedFile|RunReport|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|Failpoint|RunBudget|MinerBudget|ReportBudget|DriftMonitor|SupportHighWatermark|Registry|SegmentStore|SegmentCodec|OocIdentity|Telemetry|Serve|Miner|GeneralDag|CyclicMiner|IncrementalMiner'
+  -R 'Obs|ThreadPool|StripedMemo|ParallelDeterminism|IngestEquivalence|MappedFile|RunReport|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|Failpoint|RunBudget|MinerBudget|ReportBudget|DriftMonitor|SupportHighWatermark|Registry|SegmentStore|SegmentCodec|OocIdentity|Telemetry|Serve|Miner|GeneralDag|CyclicMiner|IncrementalMiner|Explain|TraceTest'

@@ -34,6 +34,16 @@ Result<std::vector<NodeId>> TopologicalSort(const DirectedGraph& g) {
 
 bool HasCycle(const DirectedGraph& g) { return !TopologicalSort(g).ok(); }
 
+std::vector<std::vector<NodeId>> SccResult::Members() const {
+  std::vector<std::vector<NodeId>> members(
+      static_cast<size_t>(num_components));
+  for (size_t v = 0; v < component.size(); ++v) {
+    members[static_cast<size_t>(component[v])].push_back(
+        static_cast<NodeId>(v));
+  }
+  return members;
+}
+
 SccResult StronglyConnectedComponents(const DirectedGraph& g) {
   const NodeId n = g.num_nodes();
   SccResult result;
@@ -107,13 +117,7 @@ BitMatrix ReachabilityMatrix(const DirectedGraph& g) {
   // the condensation): when we finish component c, every component it can
   // reach has already been finished.
   SccResult scc = StronglyConnectedComponents(g);
-  // Group vertices per component.
-  std::vector<std::vector<NodeId>> members(
-      static_cast<size_t>(scc.num_components));
-  for (NodeId v = 0; v < n; ++v) {
-    members[static_cast<size_t>(scc.component[static_cast<size_t>(v)])]
-        .push_back(v);
-  }
+  const std::vector<std::vector<NodeId>> members = scc.Members();
   // Per-component reach set, built in component index order (0 first).
   BitMatrix comp_reach(static_cast<size_t>(scc.num_components), un);
   for (int32_t c = 0; c < scc.num_components; ++c) {

@@ -26,6 +26,9 @@ bool HasCycle(const DirectedGraph& g);
 struct SccResult {
   std::vector<int32_t> component;  ///< size num_nodes
   int32_t num_components = 0;
+
+  /// The vertices of each component, by component index, each ascending.
+  std::vector<std::vector<NodeId>> Members() const;
 };
 SccResult StronglyConnectedComponents(const DirectedGraph& g);
 

@@ -17,11 +17,11 @@ std::vector<int32_t> LayerAssignment(const DirectedGraph& g) {
   // components from high to low index visits sources first.
   std::vector<int32_t> comp_layer(static_cast<size_t>(scc.num_components),
                                   0);
+  const std::vector<std::vector<NodeId>> members = scc.Members();
   for (int32_t c = scc.num_components - 1; c >= 0; --c) {
     // comp_layer[c] is final once all predecessors (higher indices) are
     // done; push the layer forward along outgoing condensation edges.
-    for (NodeId v = 0; v < n; ++v) {
-      if (scc.component[static_cast<size_t>(v)] != c) continue;
+    for (NodeId v : members[static_cast<size_t>(c)]) {
       for (NodeId u : g.OutNeighbors(v)) {
         int32_t cu = scc.component[static_cast<size_t>(u)];
         if (cu != c) {

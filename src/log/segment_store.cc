@@ -3,7 +3,6 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -37,29 +36,6 @@ constexpr int64_t kDecodedBytesPerInstance =
     static_cast<int64_t>(sizeof(ActivityInstance));
 constexpr int64_t kDecodedBytesPerExecution =
     static_cast<int64_t>(sizeof(Execution)) + 48;  // + small-string heap
-
-Status MakeDirs(const std::string& dir) {
-  if (dir.empty()) return Status::InvalidArgument("empty store directory");
-  std::string partial;
-  size_t pos = 0;
-  while (pos <= dir.size()) {
-    size_t slash = dir.find('/', pos);
-    if (slash == std::string::npos) slash = dir.size();
-    partial.assign(dir, 0, slash);
-    pos = slash + 1;
-    if (partial.empty()) continue;  // leading '/'
-    if (::mkdir(partial.c_str(), 0755) != 0 && errno != EEXIST) {
-      return Status::IOError(StrFormat("mkdir %s: %s", partial.c_str(),
-                                       std::strerror(errno)));
-    }
-  }
-  struct stat st;
-  if (::stat(dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
-    return Status::IOError(
-        StrFormat("store path %s is not a directory", dir.c_str()));
-  }
-  return Status::OK();
-}
 
 bool FileExists(const std::string& path) {
   struct stat st;
@@ -417,7 +393,7 @@ bool IsSegmentStoreDir(const std::string& path) {
 
 Result<SegmentedLogWriter> SegmentedLogWriter::Create(
     const std::string& dir, const SegmentStoreOptions& options) {
-  PROCMINE_RETURN_NOT_OK(MakeDirs(dir));
+  PROCMINE_RETURN_NOT_OK(MakeDirs(dir, "store"));
   if (FileExists(ManifestPath(dir))) {
     return Status::AlreadyExists(
         StrFormat("%s already holds a finished segment store", dir.c_str()));

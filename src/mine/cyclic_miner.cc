@@ -69,15 +69,9 @@ EventLog OccurrenceLabeler::Relabel(const EventLog& log,
   std::vector<Execution> out(log.num_executions());
   std::vector<ExecutionSpan> spans = log.Shards(
       pool == nullptr ? 1 : static_cast<size_t>(pool->num_threads()));
-  if (pool != nullptr && spans.size() > 1) {
-    pool->ParallelForChunked(spans.size(), [&](size_t c) {
-      RelabelSpan(log, spans[c], label_ids_, &out);
-    });
-  } else {
-    for (const ExecutionSpan& span : spans) {
-      RelabelSpan(log, span, label_ids_, &out);
-    }
-  }
+  ForEachChunk(pool, spans.size(), [&](size_t c) {
+    RelabelSpan(log, spans[c], label_ids_, &out);
+  });
   EventLog labeled;
   labeled.dictionary() = labeled_dict_;
   for (Execution& exec : out) labeled.AddExecution(std::move(exec));

@@ -19,36 +19,30 @@ constexpr const char kFalseDependencyBound[] = "false_dependency_bound";
 
 using NamePair = std::pair<std::string, std::string>;
 
-void AppendQuoted(std::string* out, const std::string& s) {
-  out->push_back('"');
-  AppendJsonEscaped(out, s);
-  out->push_back('"');
-}
-
 // The alert body shared by the JSON-lines feed and the report's alert
 // array (no surrounding braces / newline).
 std::string AlertFields(const DriftAlert& a) {
   std::string out;
   out += "\"alert\": ";
-  AppendQuoted(&out, std::string(DriftAlertKindName(a.kind)));
+  AppendJsonQuoted(&out, DriftAlertKindName(a.kind));
   out += StrFormat(", \"window\": %lld, \"window_first\": %lld, "
                    "\"window_last\": %lld, \"from\": ",
                    static_cast<long long>(a.window_index),
                    static_cast<long long>(a.window_first),
                    static_cast<long long>(a.window_last));
-  AppendQuoted(&out, a.from);
+  AppendJsonQuoted(&out, a.from);
   out += ", \"to\": ";
-  AppendQuoted(&out, a.to);
+  AppendJsonQuoted(&out, a.to);
   out += StrFormat(", \"support_before\": %lld, \"support_after\": %lld, "
                    "\"bound\": ",
                    static_cast<long long>(a.support_before),
                    static_cast<long long>(a.support_after));
-  AppendQuoted(&out, a.bound);
+  AppendJsonQuoted(&out, a.bound);
   out += StrFormat(", \"bound_value\": %.6g, \"witness_execution\": %lld, "
                    "\"witness_name\": ",
                    a.bound_value,
                    static_cast<long long>(a.witness_execution));
-  AppendQuoted(&out, a.witness_name);
+  AppendJsonQuoted(&out, a.witness_name);
   return out;
 }
 
@@ -93,7 +87,7 @@ std::string DriftReport::ToJson() const {
   out += "  \"schema_version\": 3,\n";
   out += "  \"report\": \"drift\",\n";
   out += "  \"source\": ";
-  AppendQuoted(&out, source);
+  AppendJsonQuoted(&out, source);
   out += ",\n";
   out += "  \"monitor\": {";
   out += StrFormat(
@@ -115,7 +109,7 @@ std::string DriftReport::ToJson() const {
   out += StrFormat("  \"num_alerts\": %lld,\n",
                    static_cast<long long>(alerts.size()));
   out += "  \"registry\": {\"dir\": ";
-  AppendQuoted(&out, registry_dir);
+  AppendJsonQuoted(&out, registry_dir);
   out += StrFormat(", \"latest_version\": %lld},\n",
                    static_cast<long long>(registry_latest_version));
   out += "  \"windows\": [";

@@ -124,11 +124,14 @@ using ReductionMemo =
 // Steps 5-6 map phase for one span of `log`: transitively reduce each
 // execution's induced subgraph of `g` and union the surviving edges into
 // `marked`. Marked-set union is order-independent, so any partition of the
-// executions into windows and shards yields the same set.
+// executions into windows and shards yields the same set. When `required`
+// is non-null (a provenance run) each kept edge also counts the execution
+// as a witness.
 Status MarkReductionEdges(const EventLog& log, const DirectedGraph& g,
                           ExecutionSpan span, ReductionMemo* memo,
                           RunBudget* budget, bool* budget_aborted,
-                          std::unordered_set<uint64_t>* marked) {
+                          std::unordered_set<uint64_t>* marked,
+                          EdgeEvidenceMap* required) {
   PROCMINE_SPAN("general_dag.reduce_shard");
   // Per-chunk reducer: its arena scratch is recycled across every execution
   // in the span, so the steady-state loop performs no heap allocation.
@@ -159,6 +162,12 @@ Status MarkReductionEdges(const EventLog& log, const DirectedGraph& g,
     for (const Edge& edge : *reduction_edges) {
       marked->insert(PackEdge(edge.from, edge.to));
     }
+    if (required != nullptr) {
+      for (const Edge& edge : *reduction_edges) {
+        (*required)[PackEdge(edge.from, edge.to)].Observe(
+            static_cast<int64_t>(e));
+      }
+    }
   }
   // One sharded add per counter at chunk end, not per execution. With a
   // shared memo the hit/miss split depends on which worker saw a duplicate
@@ -187,9 +196,10 @@ struct DagAlgorithm {
   const char* reduce_dropped;
   Status (*validate)(const Execution&, const ActivityDictionary&, NodeId,
                      std::vector<bool>* seen);
-  /// Algorithm 2: step 4 and the per-execution reductions of steps 5-6.
-  /// Algorithm 1: one transitive reduction of the whole graph.
-  bool per_execution;
+  /// kGeneralDag (Algorithm 2): step 4 and the per-execution reductions of
+  /// steps 5-6. kSpecialDag (Algorithm 1): one transitive reduction of the
+  /// whole graph.
+  MinerAlgorithm algorithm;
 };
 
 constexpr DagAlgorithm kAlgorithm1 = {
@@ -200,7 +210,7 @@ constexpr DagAlgorithm kAlgorithm1 = {
     "transitive reduction skipped; the model may contain "
     "redundant (transitively implied) edges",
     ValidateExactlyOnce,
-    false};
+    MinerAlgorithm::kSpecialDag};
 
 constexpr DagAlgorithm kAlgorithm2 = {
     "general_dag.mine",
@@ -210,7 +220,7 @@ constexpr DagAlgorithm kAlgorithm2 = {
     "per-execution transitive reductions skipped; the model is conformal "
     "but keeps edges a full run would have removed",
     ValidateNoRepeats,
-    true};
+    MinerAlgorithm::kGeneralDag};
 
 // Below the inline threshold the pool's wake/sleep traffic costs more than
 // the parallelism returns; the sequential path is byte-identical.
@@ -283,10 +293,12 @@ Result<EdgeCounts> CollectPass(ExecutionSource* source, ThreadPool* pool,
 // Steps 5-6 over every window: each execution's induced subgraph of `dag`
 // is reduced in shards against one memo shared by every shard and window,
 // and the kept edges are unioned. Sets *aborted (and stops) when the budget
-// stops a shard.
+// stops a shard. A non-null `required` receives the merged step 5-6 witness
+// evidence; like step 2's, it indexes executions within the window.
 Status ReducePass(ExecutionSource* source, ThreadPool* pool,
                   const AlgorithmOptions& options, const DirectedGraph& dag,
-                  bool* aborted, std::unordered_set<uint64_t>* marked) {
+                  bool* aborted, std::unordered_set<uint64_t>* marked,
+                  EdgeEvidenceMap* required) {
   ReductionMemo memo;
   const int threads = pool == nullptr ? 1 : pool->num_threads();
   return source->ForEachWindow(
@@ -294,20 +306,19 @@ Status ReducePass(ExecutionSource* source, ThreadPool* pool,
         std::vector<ExecutionSpan> spans = window.Shards(
             PlanChunks(window.num_executions(), threads, options.chunk_size));
         std::vector<std::unordered_set<uint64_t>> shard_marked(spans.size());
+        std::vector<EdgeEvidenceMap> shard_required(
+            required == nullptr ? 0 : spans.size());
         std::vector<Status> shard_status(spans.size());
         std::vector<uint8_t> shard_aborted(spans.size(), 0);
         auto run_shard = [&](size_t s) {
           bool shard_abort = false;
-          shard_status[s] =
-              MarkReductionEdges(window, dag, spans[s], &memo, options.budget,
-                                 &shard_abort, &shard_marked[s]);
+          shard_status[s] = MarkReductionEdges(
+              window, dag, spans[s], &memo, options.budget, &shard_abort,
+              &shard_marked[s],
+              required == nullptr ? nullptr : &shard_required[s]);
           shard_aborted[s] = shard_abort ? 1 : 0;
         };
-        if (pool != nullptr && spans.size() > 1) {
-          pool->ParallelForChunked(spans.size(), run_shard);
-        } else {
-          for (size_t s = 0; s < spans.size(); ++s) run_shard(s);
-        }
+        ForEachChunk(pool, spans.size(), run_shard);
         // First failure by shard order: deterministic.
         for (const Status& st : shard_status) PROCMINE_RETURN_NOT_OK(st);
         if (std::find(shard_aborted.begin(), shard_aborted.end(), 1) !=
@@ -321,6 +332,10 @@ Status ReducePass(ExecutionSource* source, ThreadPool* pool,
           } else {
             marked->insert(shard.begin(), shard.end());
           }
+        }
+        // Disjoint shards merge by sum/min/max: any partition, same cells.
+        for (const EdgeEvidenceMap& shard : shard_required) {
+          for (const auto& [key, cell] : shard) (*required)[key].Merge(cell);
         }
         return true;
       });
@@ -354,9 +369,10 @@ Result<DirectedGraph> DagChain(const DagAlgorithm& algo,
         }));
   }
 
+  const bool per_execution = algo.algorithm == MinerAlgorithm::kGeneralDag;
   ProvenanceRecorder* prov = options.provenance;
   auto finish = [&](DirectedGraph g) {
-    if (prov != nullptr) prov->SetActivityNames(dict.names());
+    if (prov != nullptr) prov->SetRun(algo.algorithm, dict.names());
     return g;
   };
   if (BudgetCut(options.budget, options.degradation, algo.collect_phase,
@@ -366,14 +382,14 @@ Result<DirectedGraph> DagChain(const DagAlgorithm& algo,
   PROCMINE_ASSIGN_OR_RETURN(EdgeCounts counts,
                             CollectPass(source, pool, options));
   DirectedGraph dag = PrecedenceDag(counts, n, options.noise_threshold,
-                                    algo.per_execution, prov);
+                                    per_execution, prov);
   if (BudgetCut(options.budget, options.degradation, algo.reduce_phase,
                 algo.reduce_dropped)) {
     return finish(std::move(dag));
   }
 
   obs::ScopedSpan reduce_span(algo.reduce_phase);
-  if (!algo.per_execution) {
+  if (!per_execution) {
     // Algorithm 1 step 4: transitive reduction of the whole graph yields
     // the minimal dependency graph.
     Result<DirectedGraph> reduced = TransitiveReduction(dag);
@@ -384,6 +400,16 @@ Result<DirectedGraph> DagChain(const DagAlgorithm& algo,
           "higher noise threshold): " +
           reduced.status().message());
     }
+    if (prov != nullptr) {
+      // Every execution holds every activity, so all m of them require
+      // each edge of the one reduction.
+      const int64_t m = source->num_executions();
+      EdgeEvidenceMap required;
+      for (const Edge& e : reduced->Edges()) {
+        required[PackEdge(e.from, e.to)] = EdgeEvidence{m, 0, m - 1};
+      }
+      prov->SetRequiredBy(std::move(required));
+    }
     RecordReduced(dag, *reduced, prov);
     return finish(reduced.MoveValueOrDie());
   }
@@ -391,9 +417,11 @@ Result<DirectedGraph> DagChain(const DagAlgorithm& algo,
   // Steps 5-6: keep exactly the edges needed by at least one execution —
   // those in the transitive reduction of the execution's induced subgraph.
   std::unordered_set<uint64_t> marked;
+  EdgeEvidenceMap required;
   bool aborted = false;
-  PROCMINE_RETURN_NOT_OK(
-      ReducePass(source, pool, options, dag, &aborted, &marked));
+  PROCMINE_RETURN_NOT_OK(ReducePass(source, pool, options, dag, &aborted,
+                                    &marked,
+                                    prov == nullptr ? nullptr : &required));
   if (aborted) {
     BudgetCut(options.budget, options.degradation, algo.reduce_phase,
               algo.reduce_dropped);
@@ -408,6 +436,7 @@ Result<DirectedGraph> DagChain(const DagAlgorithm& algo,
                       << (pool == nullptr ? 1 : pool->num_threads())
                       << " threads)";
   DirectedGraph result = MarkedGraph(n, marked);
+  if (prov != nullptr) prov->SetRequiredBy(std::move(required));
   RecordReduced(dag, result, prov);
   return finish(std::move(result));
 }
@@ -451,7 +480,7 @@ Result<ProcessGraph> MineCyclic(ExecutionSource* source, ThreadPool* pool,
   if (BudgetCut(options.budget, options.degradation, "cyclic.label",
                 "occurrence labeling and all later phases skipped; the "
                 "model has no edges")) {
-    if (prov != nullptr) prov->SetActivityNames(dict.names());
+    if (prov != nullptr) prov->SetRun(MinerAlgorithm::kCyclic, dict.names());
     return ProcessGraph(DirectedGraph(n), dict.names());
   }
 

@@ -34,49 +34,21 @@ void ScanSpan(const EventLog& log, ExecutionSpan span, OnPair&& on_pair) {
   }
 }
 
-// Counts the precedence edges of executions [span.begin, span.end) into
-// `counts`.
-void CollectSpan(const EventLog& log, ExecutionSpan span, EdgeCounts* counts) {
-  ScanSpan(log, span, [counts](uint64_t key, size_t) { ++(*counts)[key]; });
-}
-
-// Provenance-recording twin of CollectSpan: additionally tracks first/last
-// witnessing execution index per edge.
-void CollectEvidenceSpan(const EventLog& log, ExecutionSpan span,
-                         EdgeEvidenceMap* evidence) {
-  ScanSpan(log, span, [evidence](uint64_t key, size_t e) {
-    EdgeEvidence& cell = (*evidence)[key];
-    ++cell.support;
-    const int64_t index = static_cast<int64_t>(e);
-    if (cell.first_witness < 0) cell.first_witness = index;
-    cell.last_witness = index;  // e is increasing within the shard
-  });
-}
-
-// Chunked evidence collection mirroring the counting path: disjoint
-// execution spans, then a sum/min/max merge that is identical for any chunk
-// count. Returns the merged evidence and fills `counts` with the supports.
-EdgeEvidenceMap CollectEvidence(const EventLog& log,
-                                const std::vector<ExecutionSpan>& spans,
-                                ThreadPool* pool, EdgeCounts* counts) {
-  std::vector<EdgeEvidenceMap> shard_evidence(spans.size());
-  if (pool != nullptr && spans.size() > 1) {
-    pool->ParallelForChunked(spans.size(), [&](size_t c) {
-      CollectEvidenceSpan(log, spans[c], &shard_evidence[c]);
-    });
-  } else {
-    for (size_t s = 0; s < spans.size(); ++s) {
-      CollectEvidenceSpan(log, spans[s], &shard_evidence[s]);
-    }
+// Scans each span into its own map with `scan(span, &map)`, in parallel
+// when a pool is given, then folds the maps in span order with
+// `fold(&cell, other_cell)`. Spans hold disjoint executions and both folds
+// (counter sum; evidence sum/min/max) are order-independent, so every
+// partition of the log yields the same map.
+template <typename Map, typename Scan, typename Fold>
+Map ScanShards(const std::vector<ExecutionSpan>& spans, ThreadPool* pool,
+               Scan&& scan, Fold&& fold) {
+  std::vector<Map> shards(spans.size());
+  ForEachChunk(pool, spans.size(),
+               [&](size_t s) { scan(spans[s], &shards[s]); });
+  Map merged = std::move(shards[0]);
+  for (size_t s = 1; s < shards.size(); ++s) {
+    for (const auto& [key, cell] : shards[s]) fold(&merged[key], cell);
   }
-  EdgeEvidenceMap merged = std::move(shard_evidence[0]);
-  for (size_t s = 1; s < shard_evidence.size(); ++s) {
-    for (const auto& [key, cell] : shard_evidence[s]) {
-      merged[key].Merge(cell);
-    }
-  }
-  counts->reserve(merged.size());
-  for (const auto& [key, cell] : merged) (*counts)[key] = cell.support;
   return merged;
 }
 
@@ -96,25 +68,29 @@ EdgeCounts CollectPrecedenceEdges(const EventLog& log, ThreadPool* pool,
   if (spans.empty()) return EdgeCounts();
   EdgeCounts merged;
   if (provenance != nullptr) {
-    provenance->SetEvidence(CollectEvidence(log, spans, pool, &merged));
+    // The provenance twin of the counting scan: each cell also tracks the
+    // first/last witnessing execution; its support is the count.
+    EdgeEvidenceMap evidence = ScanShards<EdgeEvidenceMap>(
+        spans, pool,
+        [&](ExecutionSpan span, EdgeEvidenceMap* cells) {
+          ScanSpan(log, span, [cells](uint64_t key, size_t e) {
+            (*cells)[key].Observe(static_cast<int64_t>(e));
+          });
+        },
+        [](EdgeEvidence* cell, const EdgeEvidence& other) {
+          cell->Merge(other);
+        });
+    merged.reserve(evidence.size());
+    for (const auto& [key, cell] : evidence) merged[key] = cell.support;
+    provenance->SetEvidence(std::move(evidence));
   } else {
-    std::vector<EdgeCounts> shard_counts(spans.size());
-    if (pool != nullptr && spans.size() > 1) {
-      pool->ParallelForChunked(spans.size(), [&](size_t c) {
-        CollectSpan(log, spans[c], &shard_counts[c]);
-      });
-    } else {
-      for (size_t s = 0; s < spans.size(); ++s) {
-        CollectSpan(log, spans[s], &shard_counts[s]);
-      }
-    }
-    // Reduce: each chunk counted disjoint executions, so summing the
-    // per-edge counters in chunk order reproduces the sequential totals for
-    // any thread count.
-    merged = std::move(shard_counts[0]);
-    for (size_t s = 1; s < shard_counts.size(); ++s) {
-      for (const auto& [key, count] : shard_counts[s]) merged[key] += count;
-    }
+    merged = ScanShards<EdgeCounts>(
+        spans, pool,
+        [&](ExecutionSpan span, EdgeCounts* counts) {
+          ScanSpan(log, span,
+                   [counts](uint64_t key, size_t) { ++(*counts)[key]; });
+        },
+        [](int64_t* count, int64_t other) { *count += other; });
   }
   static obs::Counter* collected =
       obs::MetricsRegistry::Get().GetCounter("mine.edges_collected");
@@ -188,14 +164,10 @@ void RemoveIntraSccEdges(DirectedGraph* g, ProvenanceRecorder* provenance) {
     }
   }
   // A component is "merged" when it collapses >= 2 mutually-following
-  // activities (trace.cc's scc_groups reports the same sets).
-  std::vector<int64_t> members(static_cast<size_t>(scc.num_components), 0);
-  for (NodeId v = 0; v < g->num_nodes(); ++v) {
-    ++members[static_cast<size_t>(scc.component[static_cast<size_t>(v)])];
-  }
+  // activities (the groups `procmine explain` narrates as step 4).
   int64_t merged = 0;
-  for (int64_t size : members) {
-    if (size > 1) ++merged;
+  for (const std::vector<NodeId>& group : scc.Members()) {
+    if (group.size() > 1) ++merged;
   }
   static obs::Counter* sccs =
       obs::MetricsRegistry::Get().GetCounter("mine.sccs_merged");

@@ -67,9 +67,8 @@ std::string ModelDiff::Summary() const {
 
 std::string ModelDiff::ToJson() const {
   auto quoted = [](const std::string& s) {
-    std::string out = "\"";
-    AppendJsonEscaped(&out, s);
-    out += "\"";
+    std::string out;
+    AppendJsonQuoted(&out, s);
     return out;
   };
   std::string out;

@@ -7,7 +7,10 @@
 // every candidate edge of step 2 its support (number of witnessing
 // executions), the first/last witnessing execution indices, and — for edges
 // that do not survive — which step dropped it and why. The recorder is the
-// raw material of obs/report.h's RunReport.
+// raw material of obs/report.h's RunReport and of `procmine explain`, whose
+// narration (NarrateProvenance) and per-edge answers (ExplainProvenanceEdge)
+// are rendered from it alone — the paper explains its algorithms through
+// exactly such step-by-step traces (Examples 6-7, Figures 3-4).
 //
 // Recording is opt-in: every instrumented site costs exactly one
 // null-pointer branch when no recorder is attached (the same discipline as
@@ -19,6 +22,7 @@
 #ifndef PROCMINE_MINE_PROVENANCE_H_
 #define PROCMINE_MINE_PROVENANCE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -26,9 +30,12 @@
 #include <vector>
 
 #include "graph/digraph.h"
-#include "log/activity_dictionary.h"
+#include "log/event_log.h"
 
 namespace procmine {
+
+// Defined in mine/driver.h (which includes this header).
+enum class MinerAlgorithm : int8_t;
 
 /// Why a candidate precedence edge did not survive mining. kKept marks the
 /// survivors; the other values name the algorithm step that removed it.
@@ -47,15 +54,27 @@ enum class DropReason : uint8_t {
   kTransitiveReduction,
 };
 
+/// Number of DropReason values; they index per-reason arrays.
+inline constexpr size_t kNumDropReasons = 5;
+
 /// Stable lower-snake name used in report JSON ("kept", "below_threshold",
 /// "two_cycle", "intra_scc", "transitive_reduction").
 std::string_view ToString(DropReason reason);
 
-/// Step-2 evidence for one candidate edge.
+/// Witness evidence for one edge: step 2's executions exhibiting it, or
+/// steps 5-6's executions whose reduction required it.
 struct EdgeEvidence {
   int64_t support = 0;        ///< executions witnessing the edge
   int64_t first_witness = -1; ///< lowest witnessing execution index
   int64_t last_witness = -1;  ///< highest witnessing execution index
+
+  /// Counts execution `index` as a witness. Indices must arrive in
+  /// increasing order (a shard scans its executions in log order).
+  void Observe(int64_t index) {
+    ++support;
+    if (first_witness < 0) first_witness = index;
+    last_witness = index;
+  }
 
   /// Folds another disjoint-shard cell into this one (sum/min/max — the
   /// merge is commutative and associative, hence shard-order independent).
@@ -95,9 +114,19 @@ class ProvenanceRecorder {
   /// actually removed the edge.
   void MarkDropped(NodeId from, NodeId to, DropReason reason);
 
-  /// Activity names of the recorded id space (the mined log's dictionary, or
-  /// the labeled dictionary for the cyclic miner).
-  void SetActivityNames(std::vector<std::string> names) {
+  /// Registers the merged step 5-6 witness evidence: per kept edge, the
+  /// executions whose induced reduction required it. Algorithm 1 has one
+  /// whole-graph reduction, which every execution requires: {m, 0, m-1}.
+  /// Not part of the report JSON.
+  void SetRequiredBy(EdgeEvidenceMap required_by) {
+    required_by_ = std::move(required_by);
+  }
+
+  /// The algorithm that ran, and the activity names of the recorded id space
+  /// (the mined log's dictionary, or the labeled dictionary for the cyclic
+  /// miner, whose inner run is Algorithm 2's).
+  void SetRun(MinerAlgorithm algorithm, std::vector<std::string> names) {
+    algorithm_ = algorithm;
     names_ = std::move(names);
   }
 
@@ -118,10 +147,11 @@ class ProvenanceRecorder {
   int64_t num_candidates() const {
     return static_cast<int64_t>(evidence_.size());
   }
-  /// Highest support over all candidates (0 when empty).
-  int64_t max_support() const;
 
   const EdgeEvidenceMap& evidence() const { return evidence_; }
+  const EdgeEvidenceMap& required_by() const { return required_by_; }
+  /// kAuto until a run registered its names.
+  MinerAlgorithm algorithm() const;
   const std::vector<std::string>& names() const { return names_; }
   const std::vector<std::string>& base_names() const { return base_names_; }
   bool has_base_mapping() const { return !labeled_to_base_.empty(); }
@@ -136,11 +166,29 @@ class ProvenanceRecorder {
 
  private:
   EdgeEvidenceMap evidence_;
+  EdgeEvidenceMap required_by_;
   std::unordered_map<uint64_t, DropReason> dropped_;
   std::vector<std::string> names_;
+  MinerAlgorithm algorithm_{};
   std::vector<ActivityId> labeled_to_base_;
   std::vector<std::string> base_names_;
 };
+
+/// The paper-style narration of a recorded run: the edges step 2 collected,
+/// what the noise threshold and step 3 dropped, the SCCs step 4 dissolved
+/// and what the final reduction kept (Examples 6-7). `log` is the mined log;
+/// it supplies the execution count. Algorithm 3 runs are narrated in the
+/// occurrence-labeled names Algorithm 2 ran on, plus the step-8 merge.
+std::string NarrateProvenance(const ProvenanceRecorder& recorder,
+                              const EventLog& log);
+
+/// Why edge `from` -> `to` (ids of log.dictionary()) is in the model or
+/// not, one line per recorded candidate: for Algorithm 3, every labeled
+/// candidate "from#i -> to#j" in sorted order. `log` supplies the names of
+/// the executions that required a kept edge.
+std::string ExplainProvenanceEdge(const ProvenanceRecorder& recorder,
+                                  const EventLog& log, ActivityId from,
+                                  ActivityId to);
 
 }  // namespace procmine
 

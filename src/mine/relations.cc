@@ -84,15 +84,9 @@ Relations Relations::Compute(const EventLog& log, ThreadPool* pool,
       log.Shards(PlanChunks(log.num_executions(), threads, chunk_size));
   if (spans.empty()) spans.push_back(ExecutionSpan{0, 0});
   std::vector<RelationShard> shards(spans.size());
-  if (pool != nullptr && spans.size() > 1) {
-    pool->ParallelForChunked(spans.size(), [&](size_t c) {
-      ComputeShard(log, spans[c], un, &shards[c]);
-    });
-  } else {
-    for (size_t s = 0; s < spans.size(); ++s) {
-      ComputeShard(log, spans[s], un, &shards[s]);
-    }
-  }
+  ForEachChunk(pool, spans.size(), [&](size_t c) {
+    ComputeShard(log, spans[c], un, &shards[c]);
+  });
 
   // Reduce: OR the chunk matrices together (one flat kernel call per
   // matrix), then keep = cooccur AND NOT violated.

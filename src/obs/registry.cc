@@ -1,10 +1,6 @@
 #include "obs/registry.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <unordered_map>
 
 #include "util/atomic_file.h"
@@ -20,38 +16,8 @@ namespace {
 constexpr int64_t kSnapshotSchema = 1;
 constexpr const char kNoParent[] = "none";
 
-void AppendQuoted(std::string* out, const std::string& s) {
-  out->push_back('"');
-  AppendJsonEscaped(out, s);
-  out->push_back('"');
-}
-
 std::string HashHex(std::string_view bytes) {
   return StrFormat("%08x", Crc32c(bytes));
-}
-
-// Creates `dir` and any missing parents (mkdir -p semantics).
-Status MakeDirs(const std::string& dir) {
-  if (dir.empty()) return Status::InvalidArgument("empty registry directory");
-  std::string partial;
-  size_t pos = 0;
-  while (pos <= dir.size()) {
-    size_t slash = dir.find('/', pos);
-    if (slash == std::string::npos) slash = dir.size();
-    partial.assign(dir, 0, slash);
-    pos = slash + 1;
-    if (partial.empty()) continue;  // leading '/'
-    if (::mkdir(partial.c_str(), 0755) != 0 && errno != EEXIST) {
-      return Status::IOError(StrFormat("mkdir %s: %s", partial.c_str(),
-                                       std::strerror(errno)));
-    }
-  }
-  struct stat st;
-  if (::stat(dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
-    return Status::IOError(
-        StrFormat("registry path %s is not a directory", dir.c_str()));
-  }
-  return Status::OK();
 }
 
 Result<std::string> ReadWholeFile(const std::string& path) {
@@ -77,7 +43,7 @@ std::string ModelSnapshot::ToJson() const {
                    static_cast<long long>(kSnapshotSchema));
   out += StrFormat("  \"version\": %lld,\n", static_cast<long long>(version));
   out += "  \"parent_hash\": ";
-  AppendQuoted(&out, parent_hash.empty() ? std::string(kNoParent)
+  AppendJsonQuoted(&out, parent_hash.empty() ? std::string(kNoParent)
                                          : parent_hash);
   out += ",\n";
   out += "  \"window\": {\n";
@@ -90,9 +56,9 @@ std::string ModelSnapshot::ToJson() const {
   out += StrFormat("    \"num_executions\": %lld,\n",
                    static_cast<long long>(window.num_executions));
   out += "    \"first_name\": ";
-  AppendQuoted(&out, window.first_name);
+  AppendJsonQuoted(&out, window.first_name);
   out += ",\n    \"last_name\": ";
-  AppendQuoted(&out, window.last_name);
+  AppendJsonQuoted(&out, window.last_name);
   out += "\n  },\n";
   out += StrFormat("  \"noise_threshold\": %lld,\n",
                    static_cast<long long>(noise_threshold));
@@ -100,16 +66,16 @@ std::string ModelSnapshot::ToJson() const {
   out += "  \"activities\": [";
   for (size_t i = 0; i < activities.size(); ++i) {
     if (i > 0) out += ", ";
-    AppendQuoted(&out, activities[i]);
+    AppendJsonQuoted(&out, activities[i]);
   }
   out += "],\n";
   out += "  \"edges\": [";
   for (size_t i = 0; i < edges.size(); ++i) {
     out += i > 0 ? ",\n    " : "\n    ";
     out += "{\"from\": ";
-    AppendQuoted(&out, edges[i].from);
+    AppendJsonQuoted(&out, edges[i].from);
     out += ", \"to\": ";
-    AppendQuoted(&out, edges[i].to);
+    AppendJsonQuoted(&out, edges[i].to);
     out += StrFormat(", \"support\": %lld}",
                      static_cast<long long>(edges[i].support));
   }
@@ -212,7 +178,7 @@ ProcessGraph ModelSnapshot::ToProcessGraph() const {
 }
 
 Result<ModelRegistry> ModelRegistry::Open(const std::string& dir) {
-  PROCMINE_RETURN_NOT_OK(MakeDirs(dir));
+  PROCMINE_RETURN_NOT_OK(MakeDirs(dir, "registry"));
   ModelRegistry registry(dir);
   // Walk the contiguous chain v1, v2, ... and stop at the first version
   // that is missing, unparseable, or breaks the parent-hash chain. A crash

@@ -1,6 +1,7 @@
 #include "obs/report.h"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <set>
 
@@ -15,18 +16,11 @@ namespace procmine::obs {
 
 namespace {
 
+// Indexed by MinerAlgorithm.
 const char* AlgorithmName(MinerAlgorithm algorithm) {
-  switch (algorithm) {
-    case MinerAlgorithm::kSpecialDag:
-      return "special_dag";
-    case MinerAlgorithm::kGeneralDag:
-      return "general_dag";
-    case MinerAlgorithm::kCyclic:
-      return "cyclic";
-    case MinerAlgorithm::kAuto:
-      break;
-  }
-  return "auto";
+  static constexpr const char* kNames[] = {"auto", "special_dag",
+                                           "general_dag", "cyclic"};
+  return kNames[static_cast<size_t>(algorithm)];
 }
 
 // >= 5 distinct thresholds: 1, 2, the mined T, the Section 6 optimum, and
@@ -54,12 +48,6 @@ std::vector<int64_t> DefaultSweep(int64_t m, int64_t mined_threshold,
     picks.insert(t);
   }
   return std::vector<int64_t>(picks.begin(), picks.end());
-}
-
-void AppendQuoted(std::string* out, const std::string& s) {
-  out->push_back('"');
-  AppendJsonEscaped(out, s);
-  out->push_back('"');
 }
 
 const char* BoolName(bool b) { return b ? "true" : "false"; }
@@ -181,7 +169,7 @@ std::string RunReport::ToJson() const {
   std::string out = "{\n";
   out += "  \"schema_version\": 2,\n";
   out += "  \"algorithm\": ";
-  AppendQuoted(&out, algorithm);
+  AppendJsonQuoted(&out, algorithm);
   out += StrFormat(",\n  \"noise_threshold\": %lld",
                    static_cast<long long>(noise_threshold));
   out += StrFormat(",\n  \"num_executions\": %lld",
@@ -195,11 +183,11 @@ std::string RunReport::ToJson() const {
   out += StrFormat("  \"degraded\": %s,\n", BoolName(degradation.degraded));
   if (degradation.degraded) {
     out += "  \"degradation\": {\"resource\": ";
-    AppendQuoted(&out, std::string(BudgetResourceName(degradation.resource)));
+    AppendJsonQuoted(&out, BudgetResourceName(degradation.resource));
     out += ", \"cut_phase\": ";
-    AppendQuoted(&out, degradation.cut_phase);
+    AppendJsonQuoted(&out, degradation.cut_phase);
     out += ", \"dropped\": ";
-    AppendQuoted(&out, degradation.dropped);
+    AppendJsonQuoted(&out, degradation.dropped);
     out += "},\n";
   } else {
     out += "  \"degradation\": null,\n";
@@ -207,7 +195,7 @@ std::string RunReport::ToJson() const {
 
   if (has_ingestion) {
     out += "  \"ingestion\": {\n    \"policy\": ";
-    AppendQuoted(&out, std::string(RecoveryPolicyName(ingestion.policy)));
+    AppendJsonQuoted(&out, RecoveryPolicyName(ingestion.policy));
     out += StrFormat(
         ",\n    \"lines_total\": %lld,\n    \"events_parsed\": %lld,\n"
         "    \"lines_skipped\": %lld,\n    \"executions_dropped\": %lld,\n"
@@ -222,7 +210,7 @@ std::string RunReport::ToJson() const {
         static_cast<long long>(ingestion.salvage_dropped_bytes));
     for (size_t i = 0; i < ingestion.error_classes.size(); ++i) {
       if (i != 0) out += ", ";
-      AppendQuoted(&out, ingestion.error_classes[i].first);
+      AppendJsonQuoted(&out, ingestion.error_classes[i].first);
       out += StrFormat(": %lld",
                        static_cast<long long>(ingestion.error_classes[i].second));
     }
@@ -235,16 +223,16 @@ std::string RunReport::ToJson() const {
   const std::vector<std::string>& model_names = model.names();
   for (size_t i = 0; i < model_names.size(); ++i) {
     if (i != 0) out += ", ";
-    AppendQuoted(&out, model_names[i]);
+    AppendJsonQuoted(&out, model_names[i]);
   }
   out += "],\n    \"edges\": [";
   std::vector<Edge> model_edges = model.graph().Edges();
   for (size_t i = 0; i < model_edges.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     out += "      {\"from\": ";
-    AppendQuoted(&out, model.name(model_edges[i].from));
+    AppendJsonQuoted(&out, model.name(model_edges[i].from));
     out += ", \"to\": ";
-    AppendQuoted(&out, model.name(model_edges[i].to));
+    AppendJsonQuoted(&out, model.name(model_edges[i].to));
     out += "}";
   }
   out += model_edges.empty() ? "]\n  },\n" : "\n    ]\n  },\n";
@@ -261,9 +249,9 @@ std::string RunReport::ToJson() const {
     const EdgeProvenance& p = edges[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"from\": ";
-    AppendQuoted(&out, provenance_name(p.edge.from));
+    AppendJsonQuoted(&out, provenance_name(p.edge.from));
     out += ", \"to\": ";
-    AppendQuoted(&out, provenance_name(p.edge.to));
+    AppendJsonQuoted(&out, provenance_name(p.edge.to));
     out += StrFormat(
         ", \"support\": %lld, \"first_witness\": %lld, "
         "\"last_witness\": %lld, \"status\": \"%s\"",
@@ -274,9 +262,9 @@ std::string RunReport::ToJson() const {
     if (occurrence_labeled && i < base_endpoints.size()) {
       const auto& [base_from, base_to] = base_endpoints[i];
       out += ", \"base_from\": ";
-      AppendQuoted(&out, model.name(base_from));
+      AppendJsonQuoted(&out, model.name(base_from));
       out += ", \"base_to\": ";
-      AppendQuoted(&out, model.name(base_to));
+      AppendJsonQuoted(&out, model.name(base_to));
     }
     out += "}";
   }
@@ -296,11 +284,11 @@ std::string RunReport::ToJson() const {
     const ExecutionVerdict& v = conformance.verdicts[i];
     out += i == 0 ? "\n" : ",\n";
     out += "      {\"execution\": ";
-    AppendQuoted(&out, v.execution);
+    AppendJsonQuoted(&out, v.execution);
     out += StrFormat(", \"consistent\": %s", BoolName(v.consistent));
     if (!v.consistent) {
       out += ", \"violation\": ";
-      AppendQuoted(&out, v.violation);
+      AppendJsonQuoted(&out, v.violation);
       out += StrFormat(", \"first_violation_event\": %lld",
                        static_cast<long long>(v.first_violation_event));
     }
@@ -372,30 +360,9 @@ std::string RunReport::SensitivityTableText() const {
 }
 
 std::string RunReport::SummaryText() const {
-  int64_t kept = 0;
-  int64_t below = 0;
-  int64_t two_cycle = 0;
-  int64_t intra_scc = 0;
-  int64_t reduced = 0;
-  for (const EdgeProvenance& p : edges) {
-    switch (p.reason) {
-      case DropReason::kKept:
-        ++kept;
-        break;
-      case DropReason::kBelowThreshold:
-        ++below;
-        break;
-      case DropReason::kTwoCycle:
-        ++two_cycle;
-        break;
-      case DropReason::kIntraScc:
-        ++intra_scc;
-        break;
-      case DropReason::kTransitiveReduction:
-        ++reduced;
-        break;
-    }
-  }
+  std::array<long long, kNumDropReasons> fates{};
+  for (const EdgeProvenance& p : edges) ++fates[static_cast<size_t>(p.reason)];
+  const auto [kept, below, two_cycle, intra_scc, reduced] = fates;
   int64_t inconsistent = 0;
   for (const ExecutionVerdict& v : conformance.verdicts) {
     if (!v.consistent) ++inconsistent;
@@ -417,9 +384,8 @@ std::string RunReport::SummaryText() const {
       algorithm.c_str(), static_cast<long long>(num_executions),
       static_cast<long long>(num_activities),
       static_cast<long long>(noise_threshold), epsilon,
-      static_cast<long long>(edges.size()), static_cast<long long>(kept),
-      static_cast<long long>(below), static_cast<long long>(two_cycle),
-      static_cast<long long>(intra_scc), static_cast<long long>(reduced),
+      static_cast<long long>(edges.size()), kept, below, two_cycle,
+      intra_scc, reduced,
       BoolName(conformance.conformal()),
       static_cast<long long>(inconsistent),
       static_cast<long long>(conformance.verdicts.size()));

@@ -160,9 +160,8 @@ void AppendKvDouble(std::string* out, bool* first, std::string_view key,
 
 void AppendKvString(std::string* out, bool* first, std::string_view key,
                     std::string_view value) {
-  std::string quoted = "\"";
-  AppendJsonEscaped(&quoted, value);
-  quoted += "\"";
+  std::string quoted;
+  AppendJsonQuoted(&quoted, value);
   AppendKv(out, first, key, quoted);
 }
 

@@ -1,6 +1,7 @@
 #include "util/atomic_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -95,6 +96,34 @@ Status WriteFileAtomic(const std::string& path, std::string_view content) {
 
   if (!status.ok()) ::unlink(tmp.c_str());
   return status;
+}
+
+Status MakeDirs(const std::string& dir, std::string_view what) {
+  if (dir.empty()) {
+    return Status::InvalidArgument(
+        StrFormat("empty %.*s directory", static_cast<int>(what.size()),
+                  what.data()));
+  }
+  std::string partial;
+  size_t pos = 0;
+  while (pos <= dir.size()) {
+    size_t slash = dir.find('/', pos);
+    if (slash == std::string::npos) slash = dir.size();
+    partial.assign(dir, 0, slash);
+    pos = slash + 1;
+    if (partial.empty()) continue;  // leading '/'
+    if (::mkdir(partial.c_str(), 0755) != 0 && errno != EEXIST) {
+      return Status::IOError(StrFormat("mkdir %s: %s", partial.c_str(),
+                                       std::strerror(errno)));
+    }
+  }
+  struct stat st;
+  if (::stat(dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
+    return Status::IOError(StrFormat("%.*s path %s is not a directory",
+                                     static_cast<int>(what.size()),
+                                     what.data(), dir.c_str()));
+  }
+  return Status::OK();
 }
 
 }  // namespace procmine

@@ -22,6 +22,10 @@ namespace procmine {
 /// killed mid-write, in which case only `<path>.tmp` can be left behind).
 Status WriteFileAtomic(const std::string& path, std::string_view content);
 
+/// Creates `dir` and any missing parents (mkdir -p semantics). `what` names
+/// the directory's role in error messages ("store", "registry").
+Status MakeDirs(const std::string& dir, std::string_view what);
+
 }  // namespace procmine
 
 #endif  // PROCMINE_UTIL_ATOMIC_FILE_H_

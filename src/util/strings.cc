@@ -188,4 +188,10 @@ void AppendJsonEscaped(std::string* out, std::string_view text) {
   }
 }
 
+void AppendJsonQuoted(std::string* out, std::string_view text) {
+  out->push_back('"');
+  AppendJsonEscaped(out, text);
+  out->push_back('"');
+}
+
 }  // namespace procmine

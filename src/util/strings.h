@@ -49,6 +49,9 @@ std::string StrFormat(const char* fmt, ...)
 /// control characters); the surrounding quotes are the caller's.
 void AppendJsonEscaped(std::string* out, std::string_view text);
 
+/// Appends `text` to `out` as a quoted JSON string.
+void AppendJsonQuoted(std::string* out, std::string_view text);
+
 }  // namespace procmine
 
 #endif  // PROCMINE_UTIL_STRINGS_H_

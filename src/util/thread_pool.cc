@@ -29,6 +29,15 @@ size_t PlanChunks(size_t total, int threads, size_t chunk_size) {
   return std::min(total, (total + per_chunk - 1) / per_chunk);
 }
 
+void ForEachChunk(ThreadPool* pool, size_t num_chunks,
+                  const ThreadPool::ChunkFn& fn) {
+  if (pool != nullptr) {
+    pool->ParallelForChunked(num_chunks, fn);
+  } else {
+    for (size_t c = 0; c < num_chunks; ++c) fn(c);
+  }
+}
+
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(std::max(1, ResolveThreadCount(num_threads))) {
   workers_.reserve(static_cast<size_t>(num_threads_ - 1));

@@ -103,6 +103,12 @@ int ResolveThreadCount(int requested);
 /// partition that reaches the merge step is deterministic.
 size_t PlanChunks(size_t total, int threads, size_t chunk_size);
 
+/// Runs fn(chunk) for every chunk in [0, num_chunks): work-stealing on
+/// `pool`, or inline in chunk order when `pool` is null. Callers keep
+/// per-chunk result slots, so both paths give the same results.
+void ForEachChunk(ThreadPool* pool, size_t num_chunks,
+                  const ThreadPool::ChunkFn& fn);
+
 }  // namespace procmine
 
 #endif  // PROCMINE_UTIL_THREAD_POOL_H_

@@ -621,6 +621,111 @@ TEST_F(MonitorCliTest, UsageAndDataErrors) {
 }
 
 // ---------------------------------------------------------------------------
+// explain: the narration of the run `mine` makes with the same flags.
+
+TEST_F(CliTest, ExplainCyclicLogInLabeledNames) {
+  CommandResult result = RunCli("explain " + std::string(kLoanLog));
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("step 8: merging the occurrence labels"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("Review#2"), std::string::npos)
+      << result.output;
+  CommandResult edge =
+      RunCli("explain --edge=Review,Approve " + std::string(kLoanLog));
+  EXPECT_EQ(edge.exit_code, 0) << edge.output;
+  EXPECT_NE(edge.output.find("edge Review#1 -> Approve#1 "),
+            std::string::npos)
+      << edge.output;
+  EXPECT_LT(edge.output.find("Review#1 -> Approve#1"),
+            edge.output.find("Review#2 -> Approve#1"))
+      << edge.output;
+}
+
+TEST_F(CliTest, ExplainAcceptsAutoThreshold) {
+  CommandResult result =
+      RunCli("explain --threshold=auto " + std::string(kOrderLog));
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("-> threshold"), std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("step 2: collected"), std::string::npos)
+      << result.output;
+}
+
+TEST_F(CliTest, ExplainIsThreadAndChunkInvariant) {
+  std::string noisy = dir_ + "/noisy.log";
+  ASSERT_EQ(RunCli("synth --activities=8 --executions=300 --seed=7 "
+                   "--swap-rate=0.05 --out=" + noisy)
+                .exit_code,
+            0);
+  for (const std::string algorithm : {"auto", "general"}) {
+    auto render = [&](const std::string& parallelism) {
+      const std::string flags = " --threshold=2 --algorithm=" + algorithm +
+                                " " + parallelism + " " + noisy;
+      CommandResult narration = RunCli("explain" + flags);
+      EXPECT_EQ(narration.exit_code, 0) << narration.output;
+      std::string out = narration.output;
+      for (const char* from : {"A", "B", "C", "D"}) {
+        for (const char* to : {"A", "B", "C", "D"}) {
+          out += RunCli("explain --edge=" + std::string(from) + "," + to +
+                        flags)
+                     .output;
+        }
+      }
+      return out;
+    };
+    const std::string reference = render("--threads=1");
+    EXPECT_NE(reference.find("required by"), std::string::npos) << reference;
+    EXPECT_EQ(render("--threads=4 --chunk-size=1"), reference) << algorithm;
+    EXPECT_EQ(render("--threads=4 --chunk-size=3"), reference) << algorithm;
+  }
+}
+
+TEST_F(CliTest, ExplainEdgeErrors) {
+  EXPECT_EQ(RunCli("explain --edge=Nope,X " + std::string(kOrderLog))
+                .exit_code,
+            3);
+  EXPECT_EQ(RunCli("explain --edge=A " + std::string(kOrderLog)).exit_code,
+            2);
+}
+
+TEST_F(CliTest, ExplainFailsLikeMine) {
+  // The loan log repeats Review, which Algorithm 1 rejects.
+  const std::string args = " --algorithm=special " + std::string(kLoanLog);
+  CommandResult mine = RunCli("mine" + args);
+  CommandResult explain = RunCli("explain" + args);
+  EXPECT_EQ(mine.exit_code, 3) << mine.output;
+  EXPECT_EQ(explain.exit_code, mine.exit_code);
+  EXPECT_EQ(explain.output, mine.output);
+}
+
+// Model artifacts are written atomically: an unwritable path is a data
+// error (exit 3) and leaves nothing behind.
+TEST_F(CliTest, MineConditionsDotWriteFailureExits3) {
+  std::string dot = dir_ + "/missing/conditions.dot";
+  CommandResult result = RunCli("mine --conditions --dot=" + dot + " " +
+                                std::string(kOrderLog));
+  EXPECT_EQ(result.exit_code, 3) << result.output;
+  EXPECT_TRUE(ReadFileOrEmpty(dot).empty());
+  std::string ok_dot = dir_ + "/conditions.dot";
+  ASSERT_EQ(RunCli("mine --conditions --dot=" + ok_dot + " " +
+                   std::string(kOrderLog))
+                .exit_code,
+            0);
+  EXPECT_NE(ReadFileOrEmpty(ok_dot).find("digraph"), std::string::npos);
+}
+
+TEST_F(CliTest, PerfDotWriteFailureExits3) {
+  std::string dot = dir_ + "/missing/perf.dot";
+  CommandResult result = RunCli("perf --dot=" + dot + " " + log_path_);
+  EXPECT_EQ(result.exit_code, 3) << result.output;
+  EXPECT_TRUE(ReadFileOrEmpty(dot).empty());
+  std::string ok_dot = dir_ + "/perf.dot";
+  ASSERT_EQ(RunCli("perf --dot=" + ok_dot + " " + log_path_).exit_code, 0);
+  EXPECT_NE(ReadFileOrEmpty(ok_dot).find("digraph"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
 // Segment-store commands: synth --stream-out, mine on a store directory,
 // mine --spill-dir, stats on a store, convert --to-store.
 

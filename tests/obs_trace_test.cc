@@ -1,8 +1,9 @@
 // Span recorder: recording semantics, the disabled fast path, concurrent
 // emission from pool workers, Chrome trace-event JSON well-formedness
 // (parsed back by a small strict JSON parser), and agreement between the
-// pipeline counters and the step-by-step MiningTrace.
+// pipeline counters and tallies recomputed here from step 2's counts.
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <string>
@@ -10,8 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/algorithms.h"
+#include "mine/edge_collector.h"
 #include "mine/general_dag_miner.h"
-#include "mine/trace.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "synth/log_generator.h"
@@ -249,10 +251,10 @@ TEST_F(ObsTraceTest, ChromeTraceJsonParsesBack) {
   EXPECT_NE(summary.find("general_dag.reduce"), std::string::npos);
 }
 
-// The registry's counters must agree with the step-by-step MiningTrace on
-// the same log and threshold — the counters are the cheap always-on view of
-// what the trace narrates.
-TEST_F(ObsTraceTest, CountersMatchMiningTrace) {
+// The registry's counters must agree with tallies recomputed here from step
+// 2's raw counts, with the structural steps redone by hand: the counters are
+// checked against numbers the mining driver did not produce.
+TEST_F(ObsTraceTest, CountersMatchIndependentTallies) {
   ProcessGraph truth = [] {
     RandomDagOptions options;
     options.num_activities = 15;
@@ -268,13 +270,36 @@ TEST_F(ObsTraceTest, CountersMatchMiningTrace) {
   EventLog log = InjectNoise(*clean, noise);
   const int64_t kThreshold = 3;
 
-  // Reference: the fully-instrumented Algorithm 2 run, counted without
-  // touching the registry.
+  // Reference tallies, counted without touching the registry.
   obs::SetMetricsEnabled(false);
+  const EdgeCounts counts = CollectPrecedenceEdges(log);
+  auto frequent = [&](NodeId from, NodeId to) {
+    auto it = counts.find(PackEdge(from, to));
+    return it != counts.end() && it->second >= kThreshold;
+  };
+  int64_t below_threshold = 0;
+  int64_t two_cycle_edges = 0;
+  DirectedGraph after_step3(log.num_activities());
+  for (const auto& [key, count] : counts) {
+    const Edge e = UnpackEdge(key);
+    if (count < kThreshold) {
+      ++below_threshold;
+    } else if (e.from == e.to || frequent(e.to, e.from)) {
+      ++two_cycle_edges;
+    } else {
+      after_step3.AddEdge(e.from, e.to);
+    }
+  }
+  SccResult scc = StronglyConnectedComponents(after_step3);
+  std::vector<int64_t> members(static_cast<size_t>(scc.num_components), 0);
+  for (int32_t component : scc.component) {
+    ++members[static_cast<size_t>(component)];
+  }
+  const int64_t sccs_merged =
+      std::count_if(members.begin(), members.end(),
+                    [](int64_t size) { return size > 1; });
   GeneralDagMinerOptions options;
   options.noise_threshold = kThreshold;
-  auto trace = TraceGeneralDagMining(log, options);
-  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
 
   obs::SetMetricsEnabled(true);
   obs::MetricsRegistry::Get().ResetAll();
@@ -288,16 +313,16 @@ TEST_F(ObsTraceTest, CountersMatchMiningTrace) {
               static_cast<int64_t>(log.num_executions()))
         << "threads=" << threads;
     EXPECT_EQ(snapshot.CounterTotal("mine.edges_collected"),
-              trace->after_step2.num_edges())
+              static_cast<int64_t>(counts.size()))
         << "threads=" << threads;
     EXPECT_EQ(snapshot.CounterTotal("mine.edges_pruned_below_threshold"),
-              static_cast<int64_t>(trace->below_threshold.size()))
+              below_threshold)
         << "threads=" << threads;
     EXPECT_EQ(snapshot.CounterTotal("mine.two_cycle_edges_removed"),
-              static_cast<int64_t>(trace->two_cycle_pairs.size()) * 2)
+              two_cycle_edges)
         << "threads=" << threads;
     EXPECT_EQ(snapshot.CounterTotal("mine.sccs_merged"),
-              static_cast<int64_t>(trace->scc_groups.size()))
+              sccs_merged)
         << "threads=" << threads;
     EXPECT_EQ(snapshot.CounterTotal("general_dag.reduction_edges_marked"),
               mined->graph().num_edges())

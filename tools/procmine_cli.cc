@@ -109,6 +109,7 @@
 #include "mine/model_diff.h"
 #include "mine/noise.h"
 #include "mine/ooc_miner.h"
+#include "mine/provenance.h"
 #include "obs/registry.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -116,7 +117,6 @@
 #include "synth/drift_scenario.h"
 #include "mine/reconstruct.h"
 #include "mine/sequential_patterns.h"
-#include "mine/trace.h"
 #include "workflow/engine.h"
 #include "workflow/fdl.h"
 #include "synth/log_generator.h"
@@ -706,8 +706,9 @@ int CommandMine(const Args& args) {
       }
     }
     if (args.Has("dot")) {
-      std::ofstream out(args.Get("dot"));
-      out << annotated->ToDot("mined_process");
+      Status st = WriteFileAtomic(args.Get("dot"),
+                                  annotated->ToDot("mined_process"));
+      if (!st.ok()) return Fail(st);
     }
     return FinishWithDegradation(degradation);
   }
@@ -1180,23 +1181,23 @@ int CommandVariants(const Args& args) {
   return 0;
 }
 
+// Mines exactly as `mine` does, with a provenance recorder attached, and
+// narrates what the recorder saw.
 int CommandExplain(const Args& args) {
   if (args.positional.empty()) {
     std::cerr << "usage: procmine explain <log> [--edge=From,To] "
-                 "[--threshold=N]\n";
+                 "[--algorithm=...] [--threshold=N|auto] [--threads=N|auto] "
+                 "[--chunk-size=N]\n";
     return 2;
   }
   auto log = ReadLogAuto(args.positional[0], args);
   if (!log.ok()) return Fail(log.status());
-  GeneralDagMinerOptions options;
-  auto threshold = ParseInt64(args.Get("threshold", "1"));
-  if (!threshold.ok()) {
-    std::cerr << "bad --threshold\n";
-    return kExitData;
-  }
-  options.noise_threshold = *threshold;
-  auto trace = TraceGeneralDagMining(*log, options);
-  if (!trace.ok()) return Fail(trace.status());
+  auto options = MinerOptionsFromArgs(args, &*log);
+  if (!options.ok()) return Fail(options.status());
+  ProvenanceRecorder recorder;
+  options->provenance = &recorder;
+  auto model = ProcessMiner(*options).Mine(*log);
+  if (!model.ok()) return Fail(model.status());
   if (args.Has("edge")) {
     std::vector<std::string> parts = Split(args.Get("edge"), ',');
     if (parts.size() != 2) {
@@ -1209,10 +1210,10 @@ int CommandExplain(const Args& args) {
       std::cerr << "unknown activity in --edge\n";
       return kExitData;
     }
-    std::cout << trace->ExplainEdge(log->dictionary(), *from, *to);
+    std::cout << ExplainProvenanceEdge(recorder, *log, *from, *to);
     return 0;
   }
-  std::cout << trace->Narrate(log->dictionary());
+  std::cout << NarrateProvenance(recorder, *log);
   return 0;
 }
 
@@ -1228,12 +1229,8 @@ int CommandPerf(const Args& args) {
   PerformanceReport report = AnalyzePerformance(*model, *log);
   std::cout << report.Summary(log->dictionary());
   if (args.Has("dot")) {
-    std::ofstream out(args.Get("dot"));
-    if (!out) {
-      std::cerr << "cannot write " << args.Get("dot") << "\n";
-      return kExitData;
-    }
-    out << PerformanceDot(*model, report);
+    Status st = WriteFileAtomic(args.Get("dot"), PerformanceDot(*model, report));
+    if (!st.ok()) return Fail(st);
   }
   return 0;
 }
@@ -1655,7 +1652,10 @@ void PrintUsage() {
       "  diff <log> --model=EDGEFILE\n"
       "  stats <log|store-dir>   (stores: segment/byte/cache footprint)\n"
       "  perf <log> [--dot=FILE]\n"
-      "  explain <log> [--edge=From,To] [--threshold=N]\n"
+      "  explain <log> [--edge=From,To] [--algorithm=...]\n"
+      "          [--threshold=N|auto] [--threads=N|auto] [--chunk-size=N]\n"
+      "          (narrates the run `mine` makes with the same flags, step by\n"
+      "           step, from the miner's edge provenance)\n"
       "  variants <log> [--top=K]\n"
       "  noise <log>\n"
       "  report <log> [--algorithm=...] [--threshold=N|auto] [--out=FILE]\n"
