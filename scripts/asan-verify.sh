@@ -10,7 +10,9 @@
 # records parsed from hostile or torn byte streams), and the mining driver
 # every mine runs through (the in-memory miners, the incremental miner, the
 # parallel-determinism sweep, the driver-parity grid and `explain`'s
-# provenance rendering). Run whenever src/log/segment_store, src/mine/,
+# provenance rendering), with the flat activity-set memo and the
+# induced-reduction kernel its reduce pass runs on (pooled keys and
+# word-packed rows, where an off-by-one word would hide). Run whenever src/log/segment_store, src/mine/,
 # src/obs/telemetry, src/serve/, or the binary-log salvage path changes.
 #
 # Usage: scripts/asan-verify.sh [build-dir]   (default: build-asan)
@@ -30,7 +32,7 @@ cmake --build "$BUILD_DIR" -j \
            format_fuzz_test budget_test telemetry_test serve_test \
            miner_test special_dag_miner_test general_dag_miner_test \
            cyclic_miner_test incremental_test parallel_determinism_test \
-           explain_test
+           explain_test flat_set_memo_test bit_matrix_test
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|FormatFuzz|RunBudget|Telemetry|Serve|Miner|GeneralDag|CyclicMiner|IncrementalMiner|ParallelDeterminism|Explain|TraceTest'
+  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|FormatFuzz|RunBudget|Telemetry|Serve|Miner|GeneralDag|CyclicMiner|IncrementalMiner|ParallelDeterminism|Explain|TraceTest|FlatSetMemo|InducedReducer'

@@ -1,6 +1,8 @@
 #include "graph/transitive_reduction.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <vector>
 
 #include "graph/algorithms.h"
@@ -112,130 +114,81 @@ Status InducedReducer::Reduce(const std::vector<NodeId>& present,
   arena_.Reset();
 
   // Host id -> compact index. present is sorted, so compact order == host
-  // id order and emitting ascending compact pairs yields (from, to)-sorted
-  // host edges after the final sort.
+  // id order.
   for (size_t i = 0; i < p; ++i) {
     const NodeId v = present[i];
     PROCMINE_DCHECK(v >= 0 && v < g_.num_nodes());
     PROCMINE_DCHECK(i == 0 || present[i - 1] < v);  // sorted, no duplicates
     compact_[static_cast<size_t>(v)] = static_cast<int32_t>(i);
   }
-  // Entries are un-touched on every exit path below.
-  auto untouch = [&] {
-    for (NodeId v : present) compact_[static_cast<size_t>(v)] = -1;
-  };
 
-  // Compact CSR of the induced subgraph: adjacency restricted to `present`,
-  // original adjacency order preserved.
-  int32_t* offsets = arena_.AllocateArray<int32_t>(p + 1);
+  // One scan of the host adjacency: row i of `succ` holds bit j iff
+  // present[i] -> present[j], and indegree counts the induced in-edges.
+  // The compact map is un-touched right after, before any exit.
+  const size_t words = (p + 63) / 64;
+  uint64_t* succ = arena_.AllocateArray<uint64_t>(p * words);
+  uint64_t* desc = arena_.AllocateArray<uint64_t>(p * words);
   int32_t* indegree = arena_.AllocateArray<int32_t>(p);
+  int32_t* order = arena_.AllocateArray<int32_t>(p);
+  std::memset(succ, 0, p * words * sizeof(uint64_t));
+  std::memset(desc, 0, p * words * sizeof(uint64_t));
+  std::memset(indegree, 0, p * sizeof(int32_t));
   for (size_t i = 0; i < p; ++i) {
-    offsets[i] = 0;
-    indegree[i] = 0;
-  }
-  size_t num_edges = 0;
-  for (size_t i = 0; i < p; ++i) {
-    int32_t deg = 0;
+    uint64_t* row = succ + i * words;
     for (NodeId u : g_.OutNeighbors(present[i])) {
       const int32_t cu = compact_[static_cast<size_t>(u)];
       if (cu < 0) continue;
-      ++deg;
+      row[cu >> 6] |= uint64_t{1} << (cu & 63);
       ++indegree[cu];
     }
-    offsets[i] = deg;
-    num_edges += static_cast<size_t>(deg);
   }
-  // Prefix-sum in place: offsets[i] becomes the start of i's successor run.
-  int32_t running = 0;
-  for (size_t i = 0; i <= p; ++i) {
-    const int32_t deg = i < p ? offsets[i] : 0;
-    offsets[i] = running;
-    running += deg;
-  }
-  int32_t* succ = arena_.AllocateArray<int32_t>(num_edges);
-  {
-    int32_t* fill = arena_.AllocateArray<int32_t>(p);
-    for (size_t i = 0; i < p; ++i) fill[i] = offsets[i];
-    for (size_t i = 0; i < p; ++i) {
-      for (NodeId u : g_.OutNeighbors(present[i])) {
-        const int32_t cu = compact_[static_cast<size_t>(u)];
-        if (cu >= 0) succ[fill[i]++] = cu;
+  for (NodeId v : present) compact_[static_cast<size_t>(v)] = -1;
+
+  // Calls fn(j) for every set bit j of the `words`-word row, ascending.
+  auto for_each_bit = [words](const uint64_t* row, auto&& fn) {
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t word = row[w]; word != 0; word &= word - 1) {
+        fn(static_cast<int32_t>(w * 64 + std::countr_zero(word)));
       }
     }
-  }
-
-  // Kahn's algorithm with an arena-resident min-heap on compact id, matching
-  // TopologicalSort's smallest-id-first tie break, so the memoized edge
-  // vectors downstream are a pure function of the activity set.
-  int32_t* heap = arena_.AllocateArray<int32_t>(p);
-  size_t heap_size = 0;
-  auto heap_push = [&](int32_t v) {
-    size_t i = heap_size++;
-    while (i > 0) {
-      const size_t parent = (i - 1) / 2;
-      if (heap[parent] <= v) break;
-      heap[i] = heap[parent];
-      i = parent;
-    }
-    heap[i] = v;
-  };
-  auto heap_pop = [&]() {
-    const int32_t top = heap[0];
-    --heap_size;
-    if (heap_size > 0) {
-      const int32_t last = heap[heap_size];
-      size_t i = 0;
-      for (;;) {
-        size_t child = 2 * i + 1;
-        if (child >= heap_size) break;
-        if (child + 1 < heap_size && heap[child + 1] < heap[child]) ++child;
-        if (heap[child] >= last) break;
-        heap[i] = heap[child];
-        i = child;
-      }
-      heap[i] = last;
-    }
-    return top;
   };
 
-  int32_t* order = arena_.AllocateArray<int32_t>(p);
+  // Kahn's algorithm with a FIFO queue that doubles as the order. Any
+  // topological order will do: the reduction of a DAG is unique [AGU72].
   size_t ordered = 0;
   for (size_t i = 0; i < p; ++i) {
-    if (indegree[i] == 0) heap_push(static_cast<int32_t>(i));
+    if (indegree[i] == 0) order[ordered++] = static_cast<int32_t>(i);
   }
-  while (heap_size > 0) {
-    const int32_t v = heap_pop();
-    order[ordered++] = v;
-    for (int32_t e = offsets[v]; e < offsets[v + 1]; ++e) {
-      if (--indegree[succ[e]] == 0) heap_push(succ[e]);
+  for (size_t head = 0; head < ordered; ++head) {
+    for_each_bit(succ + static_cast<size_t>(order[head]) * words,
+                 [&](int32_t u) {
+                   if (--indegree[u] == 0) order[ordered++] = u;
+                 });
+  }
+  if (ordered != p) return Status::FailedPrecondition("graph has a cycle");
+
+  // Algorithm 4 in reverse topological order. A successor already among
+  // the descendants of another successor is redundant: clearing it turns
+  // row v of `succ` into v's kept edges in place.
+  for (size_t k = p; k-- > 0;) {
+    const size_t v = static_cast<size_t>(order[k]);
+    uint64_t* row = desc + v * words;
+    uint64_t* kept = succ + v * words;
+    for_each_bit(kept, [&](int32_t u) {
+      bits::Or(row, desc + static_cast<size_t>(u) * words, words);
+    });
+    for (size_t w = 0; w < words; ++w) {
+      kept[w] &= ~row[w];
+      row[w] |= kept[w];  // dropped successors are in row already
     }
-  }
-  if (ordered != p) {
-    untouch();
-    return Status::FailedPrecondition("graph has a cycle");
   }
 
-  // Algorithm 4 over the compact graph: descendant bitsets are p x p arena
-  // scratch, not n x n.
-  BitMatrix desc(p, p, &arena_);
-  for (size_t k = p; k-- > 0;) {
-    const int32_t v = order[k];
-    BitRow row = desc[static_cast<size_t>(v)];
-    for (int32_t e = offsets[v]; e < offsets[v + 1]; ++e) {
-      row.OrWith(desc[static_cast<size_t>(succ[e])]);
-    }
-    for (int32_t e = offsets[v]; e < offsets[v + 1]; ++e) {
-      if (!row.Test(static_cast<size_t>(succ[e]))) {
-        out->push_back(Edge{present[static_cast<size_t>(v)],
-                            present[static_cast<size_t>(succ[e])]});
-      }
-    }
-    for (int32_t e = offsets[v]; e < offsets[v + 1]; ++e) {
-      row.Set(static_cast<size_t>(succ[e]));
-    }
+  // Compact order is host order, so rows then bits are (from, to)-sorted.
+  for (size_t i = 0; i < p; ++i) {
+    for_each_bit(succ + i * words, [&](int32_t j) {
+      out->push_back(Edge{present[i], present[static_cast<size_t>(j)]});
+    });
   }
-  std::sort(out->begin(), out->end());
-  untouch();
   return Status::OK();
 }
 

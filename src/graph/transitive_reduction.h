@@ -14,10 +14,15 @@
 // instead of streaming full rows through memory once per vertex.
 //
 // InducedReducer is the batch interface the general-DAG miner uses: it
-// reduces the subgraph induced by an activity subset without materializing a
-// full-size DirectedGraph per execution. All scratch (compact CSR, bitsets,
-// kept-edge flags) comes from a per-reducer Arena that is Reset between
-// calls, so steady-state reductions allocate nothing.
+// reduces the subgraph induced by an activity subset of p vertices without
+// materializing a full-size DirectedGraph per execution. One scan of the
+// host adjacency fills compact successor rows of ceil(p/64) words; a FIFO
+// Kahn pass orders them (any topological order yields the same unique
+// reduction), and Algorithm 4 then clears the redundant bits of each row in
+// place, so the rows read out in compact order are the kept edges already
+// (from, to)-sorted. For p <= 64 every row is one word. All scratch comes
+// from a per-reducer Arena that is Reset between calls, so steady-state
+// reductions allocate nothing.
 //
 // A naive O(E*(V+E)) reference implementation is provided for property tests
 // and as the baseline in the micro benchmarks.
@@ -52,11 +57,11 @@ Result<DirectedGraph> TransitiveReductionNaive(const DirectedGraph& g);
 
 /// Repeatedly reduces induced subgraphs of one fixed host graph.
 ///
-/// The general-DAG miner calls this once per distinct execution: the
-/// subgraph induced by the execution's activity set is transitively reduced
-/// and the surviving edges reported in host-graph ids. Compared to
-/// InducedSubgraph + TransitiveReduction this works in a compact index space
-/// of p = present.size() vertices (not the host's n), and every per-call
+/// The general-DAG miner calls this once per distinct activity set: the
+/// subgraph induced by the set is transitively reduced and the surviving
+/// edges reported in host-graph ids. Compared to InducedSubgraph +
+/// TransitiveReduction this works in a compact index space of
+/// p = present.size() vertices (not the host's n), and every per-call
 /// allocation is arena scratch reused across calls — for logs with many
 /// small executions over a large activity alphabet this is the difference
 /// between O(p) and O(n) work per execution.
@@ -79,8 +84,9 @@ class InducedReducer {
   const DirectedGraph& g_;
   Arena arena_;
   /// Host id -> compact index, -1 when absent. Sized to the host's n once;
-  /// entries touched by a call are un-touched at the end of that call, so
-  /// Reduce stays O(p) even though the map is O(n) storage.
+  /// entries touched by a call are un-touched right after its adjacency
+  /// scan, before any exit, so Reduce stays O(p) even though the map is
+  /// O(n) storage.
   std::vector<int32_t> compact_;
 };
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -16,9 +16,8 @@
 #include "mine/special_dag_miner.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/hash.h"
+#include "util/flat_set_memo.h"
 #include "util/logging.h"
-#include "util/striped_memo.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -105,37 +104,85 @@ Status ValidateNoRepeats(const Execution& exec,
   return Status::OK();
 }
 
-// Memo key hash for the per-execution reductions: the sorted activity set.
-// Hashing the id vector directly (HashBytes over the raw id words) avoids
-// serializing a fresh string key per execution just to look it up.
-struct SequenceHash {
-  size_t operator()(const std::vector<NodeId>& ids) const {
-    return static_cast<size_t>(
-        HashBytes(ids.data(), ids.size() * sizeof(NodeId)));
+// The step 6 union of kept edges, as packed (from, to) keys: linear probing
+// over one power-of-two array. Marking re-inserts edges the set already
+// holds far more often than it adds one, and a probe of this flat array is
+// much cheaper there than a node-based set's bucket walk.
+class EdgeMarks {
+ public:
+  void Insert(uint64_t key) {
+    PROCMINE_DCHECK(key != kEmpty);
+    size_t i = SlotOf(key);
+    for (; slots_[i] != kEmpty; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i] == key) return;
+    }
+    slots_[i] = key;
+    if (++size_ * 2 > slots_.size()) Grow();
   }
+  void InsertAll(const EdgeMarks& other) {
+    for (uint64_t key : other.slots_) {
+      if (key != kEmpty) Insert(key);
+    }
+  }
+  size_t size() const { return size_; }
+  /// The marked keys, ascending.
+  std::vector<uint64_t> Sorted() const {
+    std::vector<uint64_t> keys;
+    keys.reserve(size_);
+    for (uint64_t key : slots_) {
+      if (key != kEmpty) keys.push_back(key);
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
+ private:
+  // PackEdge(-1, -1): no edge has negative endpoints.
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
+
+  size_t SlotOf(uint64_t key) const {
+    // Fibonacci hashing: the product's high bits mix both endpoints.
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+  void Grow() {
+    std::vector<uint64_t> old(slots_.size() * 2, kEmpty);
+    old.swap(slots_);
+    --shift_;
+    size_ = 0;
+    for (uint64_t key : old) {
+      if (key != kEmpty) Insert(key);
+    }
+  }
+
+  std::vector<uint64_t> slots_ = std::vector<uint64_t>(64, kEmpty);
+  int shift_ = 64 - 6;  ///< 64 - log2(slots_.size())
+  size_t size_ = 0;
 };
 
-// One memo shared by every worker and every window of a run: the cached
-// edge vector is a pure function of the activity set, so first-writer-wins
-// sharing cannot perturb the model.
-using ReductionMemo =
-    StripedMemo<std::vector<NodeId>, std::vector<Edge>, SequenceHash>;
+// One memo shared by every worker and every window of a run, keyed by the
+// sorted activity set. A reduction is a pure function of the set, so
+// first-writer-wins sharing cannot perturb the model. Only a provenance run
+// stores the kept edges, which later executions of the set witness.
+using ReductionMemo = FlatSetMemo<Edge>;
 
-// Steps 5-6 map phase for one span of `log`: transitively reduce each
-// execution's induced subgraph of `g` and union the surviving edges into
-// `marked`. Marked-set union is order-independent, so any partition of the
-// executions into windows and shards yields the same set. When `required`
-// is non-null (a provenance run) each kept edge also counts the execution
-// as a witness.
+// Steps 5-6 map phase for one span of `log`: transitively reduce the
+// induced subgraph of `g` once per distinct activity set and union the
+// surviving edges into `marked`. The shard whose insert creates a set's
+// entry marks its edges; a memo hit marks nothing, because the union
+// already holds them. Marked-set union is order-independent, so any
+// partition of the executions into windows and shards yields the same set.
+// When `required` is non-null (a provenance run) each kept edge also counts
+// the execution as a witness.
 Status MarkReductionEdges(const EventLog& log, const DirectedGraph& g,
                           ExecutionSpan span, ReductionMemo* memo,
                           RunBudget* budget, bool* budget_aborted,
-                          std::unordered_set<uint64_t>* marked,
+                          EdgeMarks* marked,
                           EdgeEvidenceMap* required) {
   PROCMINE_SPAN("general_dag.reduce_shard");
-  // Per-chunk reducer: its arena scratch is recycled across every execution
-  // in the span, so the steady-state loop performs no heap allocation.
+  // Per-chunk scratch, recycled across every execution in the span: the
+  // steady-state loop performs no heap allocation.
   InducedReducer reducer(g);
+  std::vector<NodeId> present;
   std::vector<Edge> computed;
   int64_t memo_hits = 0;
   int64_t memo_misses = 0;
@@ -147,23 +194,29 @@ Status MarkReductionEdges(const EventLog& log, const DirectedGraph& g,
       *budget_aborted = true;
       return Status::OK();
     }
-    const Execution& exec = log.execution(e);
-    std::vector<NodeId> present = exec.Sequence();
+    present.clear();
+    for (const ActivityInstance& inst : log.execution(e).instances()) {
+      present.push_back(inst.activity);
+    }
     std::sort(present.begin(), present.end());
 
-    const std::vector<Edge>* reduction_edges = memo->Find(present);
-    if (reduction_edges != nullptr) {
+    std::span<const Edge> kept;
+    if (memo->Find(present, required == nullptr ? nullptr : &kept)) {
       ++memo_hits;
     } else {
       ++memo_misses;
       PROCMINE_RETURN_NOT_OK(reducer.Reduce(present, &computed));
-      reduction_edges = memo->Insert(std::move(present), computed);
-    }
-    for (const Edge& edge : *reduction_edges) {
-      marked->insert(PackEdge(edge.from, edge.to));
+      kept = computed;
+      if (memo->Insert(present, required == nullptr
+                                    ? std::span<const Edge>()
+                                    : kept)) {
+        for (const Edge& edge : kept) {
+          marked->Insert(PackEdge(edge.from, edge.to));
+        }
+      }
     }
     if (required != nullptr) {
-      for (const Edge& edge : *reduction_edges) {
+      for (const Edge& edge : kept) {
         (*required)[PackEdge(edge.from, edge.to)].Observe(
             static_cast<int64_t>(e));
       }
@@ -249,9 +302,9 @@ DirectedGraph PrecedenceDag(const EdgeCounts& counts, NodeId n,
 }
 
 // Step 6: the DAG edges some execution's reduction marked.
-DirectedGraph MarkedGraph(NodeId n, const std::unordered_set<uint64_t>& marked) {
+DirectedGraph MarkedGraph(NodeId n, const EdgeMarks& marked) {
   DirectedGraph result(n);
-  for (uint64_t key : marked) {
+  for (uint64_t key : marked.Sorted()) {
     Edge e = UnpackEdge(key);
     result.AddEdge(e.from, e.to);
   }
@@ -297,7 +350,7 @@ Result<EdgeCounts> CollectPass(ExecutionSource* source, ThreadPool* pool,
 // evidence; like step 2's, it indexes executions within the window.
 Status ReducePass(ExecutionSource* source, ThreadPool* pool,
                   const AlgorithmOptions& options, const DirectedGraph& dag,
-                  bool* aborted, std::unordered_set<uint64_t>* marked,
+                  bool* aborted, EdgeMarks* marked,
                   EdgeEvidenceMap* required) {
   ReductionMemo memo;
   const int threads = pool == nullptr ? 1 : pool->num_threads();
@@ -305,7 +358,7 @@ Status ReducePass(ExecutionSource* source, ThreadPool* pool,
       SourcePass::kReduce, [&](const EventLog& window) -> Result<bool> {
         std::vector<ExecutionSpan> spans = window.Shards(
             PlanChunks(window.num_executions(), threads, options.chunk_size));
-        std::vector<std::unordered_set<uint64_t>> shard_marked(spans.size());
+        std::vector<EdgeMarks> shard_marked(spans.size());
         std::vector<EdgeEvidenceMap> shard_required(
             required == nullptr ? 0 : spans.size());
         std::vector<Status> shard_status(spans.size());
@@ -326,13 +379,7 @@ Status ReducePass(ExecutionSource* source, ThreadPool* pool,
           *aborted = true;
           return false;
         }
-        for (std::unordered_set<uint64_t>& shard : shard_marked) {
-          if (marked->empty()) {
-            *marked = std::move(shard);
-          } else {
-            marked->insert(shard.begin(), shard.end());
-          }
-        }
+        for (const EdgeMarks& shard : shard_marked) marked->InsertAll(shard);
         // Disjoint shards merge by sum/min/max: any partition, same cells.
         for (const EdgeEvidenceMap& shard : shard_required) {
           for (const auto& [key, cell] : shard) (*required)[key].Merge(cell);
@@ -416,7 +463,7 @@ Result<DirectedGraph> DagChain(const DagAlgorithm& algo,
 
   // Steps 5-6: keep exactly the edges needed by at least one execution —
   // those in the transitive reduction of the execution's induced subgraph.
-  std::unordered_set<uint64_t> marked;
+  EdgeMarks marked;
   EdgeEvidenceMap required;
   bool aborted = false;
   PROCMINE_RETURN_NOT_OK(ReducePass(source, pool, options, dag, &aborted,
@@ -624,10 +671,10 @@ Result<DirectedGraph> MineFromStatistics(const EdgeCounts& counts, NodeId n,
                                     /*drop_sccs=*/true, nullptr);
   InducedReducer reducer(dag);
   std::vector<Edge> kept;
-  std::unordered_set<uint64_t> marked;
+  EdgeMarks marked;
   for (const auto& [present, executions] : sets) {
     PROCMINE_RETURN_NOT_OK(reducer.Reduce(present, &kept));
-    for (const Edge& e : kept) marked.insert(PackEdge(e.from, e.to));
+    for (const Edge& e : kept) marked.Insert(PackEdge(e.from, e.to));
   }
   return MarkedGraph(n, marked);
 }

@@ -62,10 +62,6 @@ Result<RunReport> BuildRunReport(const EventLog& log,
   }
 
   RunReport report;
-  MinerAlgorithm algorithm = options.algorithm == MinerAlgorithm::kAuto
-                                 ? ProcessMiner::SelectAlgorithm(log)
-                                 : options.algorithm;
-  report.algorithm = AlgorithmName(algorithm);
   report.noise_threshold = options.noise_threshold;
   report.num_executions = static_cast<int64_t>(log.num_executions());
   report.num_activities = static_cast<int64_t>(log.num_activities());
@@ -80,7 +76,7 @@ Result<RunReport> BuildRunReport(const EventLog& log,
 
   ProvenanceRecorder recorder;
   MinerOptions miner_options;
-  miner_options.algorithm = algorithm;
+  miner_options.algorithm = options.algorithm;
   miner_options.noise_threshold = options.noise_threshold;
   miner_options.num_threads = options.num_threads;
   miner_options.chunk_size = options.chunk_size;
@@ -89,6 +85,9 @@ Result<RunReport> BuildRunReport(const EventLog& log,
   miner_options.degradation = &report.degradation;
   PROCMINE_ASSIGN_OR_RETURN(report.model,
                             ProcessMiner(miner_options).Mine(log));
+  // The driver resolves kAuto over the executions it mines (the
+  // --max-executions prefix), so the report names what it ran.
+  report.algorithm = AlgorithmName(recorder.algorithm());
 
   report.edges = recorder.Edges();
   report.activity_names = recorder.names();

@@ -1,7 +1,8 @@
 // HashBytes: a fast 64-bit byte-string hash (FNV-1a with a wyhash-style
-// final mix) for hot-path hash maps that would otherwise have to build a
-// std::string key just to hash it — e.g. the general-DAG reduction memo,
-// which keys on an activity-id sequence.
+// final mix) for hot-path hash tables that would otherwise have to build a
+// std::string key just to hash it — e.g. the flat general-DAG reduction
+// memo (util/flat_set_memo.h), which hashes a sorted activity-id set and
+// picks its open-addressing slot from the low bits.
 //
 // Not cryptographic and not stable across releases; never persist these
 // values to disk.
@@ -32,7 +33,7 @@ inline uint64_t HashBytes(const void* data, size_t size) {
     --size;
   }
   // Final avalanche (xor-shift multiply, wyhash/splitmix style): FNV alone
-  // mixes poorly into the low bits that unordered_map buckets use.
+  // mixes poorly into the low bits that hash-table slots and buckets use.
   h ^= h >> 32;
   h *= 0xd6e8feb86659fd93ull;
   h ^= h >> 32;

@@ -5,7 +5,8 @@
 // random sizes — including ragged tail words — so both dispatch paths are
 // proven bit-identical to the same oracle. The same strategy covers the
 // blocked transitive reduction and the arena-scratch InducedReducer: each is
-// compared against its naive counterpart on random DAGs.
+// compared against its naive counterpart on random DAGs, the reducer at
+// subset sizes on both sides of every 64-bit row-word boundary.
 
 #include <algorithm>
 #include <cstdint>
@@ -352,6 +353,98 @@ TEST(InducedReducerTest, DetectsCycleInInducedSubgraph) {
   // recover cleanly after a failed call.
   ASSERT_TRUE(reducer.Reduce({0, 1, 3}, &out).ok());
   EXPECT_EQ(out.size(), 2u);
+}
+
+// A random DAG whose topological order is a random permutation of the ids,
+// so neither host id order nor compact order is topological by accident.
+DirectedGraph ShuffledDag(NodeId n, double density, Rng* rng) {
+  std::vector<NodeId> rank(static_cast<size_t>(n));
+  for (NodeId v = 0; v < n; ++v) rank[static_cast<size_t>(v)] = v;
+  rng->Shuffle(&rank);
+  DirectedGraph g(n);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) {
+      if (rank[static_cast<size_t>(u)] < rank[static_cast<size_t>(v)] &&
+          rng->NextDouble() < density) {
+        g.AddEdge(u, v);
+      }
+    }
+  }
+  return g;
+}
+
+// `p` distinct ids of [0, n), ascending.
+std::vector<NodeId> SubsetOfSize(NodeId n, size_t p, Rng* rng) {
+  std::vector<NodeId> ids(static_cast<size_t>(n));
+  for (NodeId v = 0; v < n; ++v) ids[static_cast<size_t>(v)] = v;
+  rng->Shuffle(&ids);
+  ids.resize(p);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+// The oracle: Lemma 7's edge-by-edge path test on the induced subgraph.
+std::vector<Edge> NaiveInducedReduction(const DirectedGraph& g,
+                                        const std::vector<NodeId>& present) {
+  auto reduced = TransitiveReductionNaive(InducedSubgraph(g, present));
+  EXPECT_TRUE(reduced.ok());
+  std::vector<Edge> edges = reduced->Edges();
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
+TEST(InducedReducerTest, MatchesNaiveAtWordBoundaries) {
+  // p = 64 fills one row word exactly; 65 and 129 spill into a second and
+  // third word with one bit; 63 leaves the top bit of the word unused.
+  Rng rng(2024);
+  const NodeId n = 150;
+  for (double density : {0.03, 0.1, 0.3}) {
+    DirectedGraph g = ShuffledDag(n, density, &rng);
+    InducedReducer reducer(g);
+    std::vector<Edge> got;
+    for (size_t p : {0, 1, 63, 64, 65, 129}) {
+      for (int trial = 0; trial < 2; ++trial) {
+        std::vector<NodeId> present = SubsetOfSize(n, p, &rng);
+        ASSERT_TRUE(reducer.Reduce(present, &got).ok());
+        EXPECT_EQ(got, NaiveInducedReduction(g, present))
+            << "density " << density << " p " << p << " trial " << trial;
+      }
+    }
+  }
+}
+
+TEST(InducedReducerTest, CyclicSetFailsAndLeavesTheReducerClean) {
+  // A cycle through ids on both sides of the 64- and 128-bit boundaries.
+  Rng rng(77);
+  const NodeId n = 140;
+  DirectedGraph g = RandomDag(n, 0.05, &rng);
+  g.AddEdge(10, 70);
+  g.AddEdge(70, 129);
+  g.AddEdge(129, 10);  // the one back edge: closes 10 -> 70 -> 129 -> 10
+  InducedReducer reducer(g);
+  std::vector<Edge> out;
+  for (size_t p : {3, 64, 65, 129}) {
+    std::vector<NodeId> cyclic = SubsetOfSize(n, p, &rng);
+    for (NodeId v : {10, 70, 129}) {
+      if (!std::binary_search(cyclic.begin(), cyclic.end(), v)) {
+        cyclic.insert(std::lower_bound(cyclic.begin(), cyclic.end(), v), v);
+      }
+    }
+    Status st = reducer.Reduce(cyclic, &out);
+    EXPECT_TRUE(st.IsFailedPrecondition()) << "p " << p << ": " << st.ToString();
+
+    // A stale compact index left by the failed call would pull absent
+    // vertices into the next induced subgraph: drop 129 (every cycle uses
+    // its one back edge) and half of the rest, and the answer must still
+    // be exact.
+    std::vector<NodeId> acyclic;
+    for (size_t i = 0; i < cyclic.size(); ++i) {
+      const NodeId v = cyclic[i];
+      if (v != 129 && (i % 2 == 0 || v == 10 || v == 70)) acyclic.push_back(v);
+    }
+    ASSERT_TRUE(reducer.Reduce(acyclic, &out).ok()) << "p " << p;
+    EXPECT_EQ(out, NaiveInducedReduction(g, acyclic)) << "p " << p;
+  }
 }
 
 }  // namespace

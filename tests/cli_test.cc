@@ -365,6 +365,27 @@ TEST_F(CliTest, ReportCyclicLogUsesOccurrenceLabels) {
   EXPECT_NE(json.find("\"base_from\""), std::string::npos);
 }
 
+TEST_F(CliTest, ReportNamesTheAlgorithmMinedOverTheExecutionPrefix) {
+  // loan_review.log's first execution has no repeated activity, so mining
+  // only it runs Algorithm 2, although the whole log selects Algorithm 3.
+  // Both report paths must name the algorithm the run used.
+  const std::string report_path = dir_ + "/prefix_report.json";
+  const std::string mine_path = dir_ + "/prefix_mine.json";
+  CommandResult report = RunCli("report --max-executions=1 --out=" +
+                                report_path + " " + std::string(kLoanLog));
+  CommandResult mine = RunCli("mine --max-executions=1 --report-out=" +
+                              mine_path + " " + std::string(kLoanLog));
+  EXPECT_EQ(report.exit_code, 4) << report.output;  // degraded by the cut
+  EXPECT_EQ(mine.exit_code, 4) << mine.output;
+  for (const std::string& path : {report_path, mine_path}) {
+    std::string json = ReadFileOrEmpty(path);
+    EXPECT_NE(json.find("\"algorithm\": \"general_dag\""), std::string::npos)
+        << path << "\n" << json;
+    EXPECT_NE(json.find("\"occurrence_labeled\": false"), std::string::npos)
+        << path;
+  }
+}
+
 /// Writes a hostile log: clean executions interleaved with malformed lines
 /// and executions that cannot pair.
 std::string WriteGarbageLog(const std::string& dir) {
