@@ -12,8 +12,12 @@
 # parallel-determinism sweep, the driver-parity grid and `explain`'s
 # provenance rendering), with the flat activity-set memo and the
 # induced-reduction kernel its reduce pass runs on (pooled keys and
-# word-packed rows, where an off-by-one word would hide). Run whenever src/log/segment_store, src/mine/,
-# src/obs/telemetry, src/serve/, or the binary-log salvage path changes.
+# word-packed rows, where an off-by-one word would hide), and the text
+# decoder (the one line tokenizer and START/END pairing step that the
+# sharded parser and the mmap streaming scan share, whose name views alias
+# the input). Run whenever src/log/segment_store, src/mine/,
+# src/obs/telemetry, src/serve/, the text reader, or the binary-log salvage
+# path changes.
 #
 # Usage: scripts/asan-verify.sh [build-dir]   (default: build-asan)
 
@@ -32,7 +36,8 @@ cmake --build "$BUILD_DIR" -j \
            format_fuzz_test budget_test telemetry_test serve_test \
            miner_test special_dag_miner_test general_dag_miner_test \
            cyclic_miner_test incremental_test parallel_determinism_test \
-           explain_test flat_set_memo_test bit_matrix_test
+           explain_test flat_set_memo_test bit_matrix_test \
+           streaming_reader_test ingest_equivalence_test reader_writer_test
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|FormatFuzz|RunBudget|Telemetry|Serve|Miner|GeneralDag|CyclicMiner|IncrementalMiner|ParallelDeterminism|Explain|TraceTest|FlatSetMemo|InducedReducer'
+  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|FormatFuzz|FormatGarbage|RunBudget|Telemetry|Serve|Miner|GeneralDag|CyclicMiner|IncrementalMiner|ParallelDeterminism|Explain|TraceTest|FlatSetMemo|InducedReducer|StreamingReader|IngestEquivalence|LogReader'

@@ -3,7 +3,8 @@
 # the concurrent machinery: the obs metrics/span recorders, the thread
 # pool (including the work-stealing chunked mode), the shared flat
 # activity-set memo, the parallel-determinism sweep (threads x chunk-size), the
-# sharded parallel log parser (ingest equivalence), the run-report
+# sharded parallel log parser (ingest equivalence) and the streaming scan
+# that shares its tokenizer and pairing step, the run-report
 # builder (provenance recording + thread-count-invariant report bytes),
 # the robustness layer (recovery-mode sharded quarantine merges,
 # failpoints, budgets), the drift monitor + model registry (whose
@@ -40,7 +41,7 @@ cmake --build "$BUILD_DIR" -j \
            drift_test registry_test segment_store_test telemetry_test \
            serve_test miner_test special_dag_miner_test \
            general_dag_miner_test cyclic_miner_test incremental_test \
-           explain_test
+           explain_test streaming_reader_test
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'Obs|ThreadPool|FlatSetMemo|ParallelDeterminism|IngestEquivalence|MappedFile|RunReport|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|Failpoint|RunBudget|MinerBudget|ReportBudget|DriftMonitor|SupportHighWatermark|Registry|SegmentStore|SegmentCodec|OocIdentity|Telemetry|Serve|Miner|GeneralDag|CyclicMiner|IncrementalMiner|Explain|TraceTest'
+  -R 'Obs|ThreadPool|FlatSetMemo|ParallelDeterminism|IngestEquivalence|MappedFile|RunReport|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|Failpoint|RunBudget|MinerBudget|ReportBudget|DriftMonitor|SupportHighWatermark|Registry|SegmentStore|SegmentCodec|OocIdentity|Telemetry|Serve|Miner|GeneralDag|CyclicMiner|IncrementalMiner|Explain|TraceTest|StreamingReader'

@@ -4,28 +4,10 @@
 #include <numeric>
 
 #include "obs/trace.h"
-#include "util/strings.h"
 
 namespace procmine {
 
 namespace {
-
-/// FIFO of open START events for one activity, reused across instances.
-/// pop-from-front is an index bump; Reset() reclaims the storage.
-struct OpenStarts {
-  struct Pending {
-    int64_t timestamp;
-    size_t seq;  // position in the instance's time-sorted record order
-  };
-  std::vector<Pending> queue;
-  size_t head = 0;
-
-  bool empty() const { return head == queue.size(); }
-  void Reset() {
-    queue.clear();
-    head = 0;
-  }
-};
 
 /// Stable sort tuned for per-execution event counts: executions are almost
 /// always small, and std::stable_sort allocates a merge buffer per call —
@@ -49,15 +31,102 @@ void StableSortSmall(std::vector<T>* v, Less less) {
 
 }  // namespace
 
-Result<EventLog> AssembleEventLog(const CompactEventBatch& batch) {
-  return AssembleEventLog(batch, AssemblyRecovery{});
+Result<Execution> AssembleExecution(const CompactEventBatch& batch,
+                                    std::string_view name,
+                                    std::span<const uint32_t> events,
+                                    ActivityDictionary* dict,
+                                    PairingScratch* scratch,
+                                    std::string_view* error_class) {
+  const size_t num_activities = batch.activity_names.size();
+  if (scratch->open.size() < num_activities) {
+    scratch->open.resize(num_activities);
+    scratch->interned.resize(num_activities, -1);
+  }
+  std::vector<uint32_t>& order = scratch->order;
+  order.assign(events.begin(), events.end());
+  StableSortSmall(&order, [&](uint32_t a, uint32_t b) {
+    const CompactEvent& x = batch.events[a];
+    const CompactEvent& y = batch.events[b];
+    if (x.timestamp != y.timestamp) return x.timestamp < y.timestamp;
+    return x.type < y.type;  // START before END at equal timestamps
+  });
+
+  std::vector<ActivityInstance>& instances = scratch->instances;
+  instances.clear();
+  std::string_view failed;  // empty = the execution paired cleanly
+  int32_t failed_activity = -1;
+  for (size_t seq = 0; seq < order.size(); ++seq) {
+    const CompactEvent& e = batch.events[order[seq]];
+    PairingScratch::OpenStarts& fifo =
+        scratch->open[static_cast<size_t>(e.activity)];
+    if (e.type == EventType::kStart) {
+      if (fifo.queue.empty()) scratch->touched.push_back(e.activity);
+      fifo.queue.push_back({e.timestamp, seq});
+      continue;
+    }
+    if (fifo.empty()) {
+      failed = "end_without_start";
+      failed_activity = e.activity;
+      break;
+    }
+    ActivityInstance inst;
+    inst.activity = e.activity;  // batch id; remapped below
+    inst.start = fifo.queue[fifo.head++].timestamp;
+    inst.end = e.timestamp;
+    inst.output.assign(
+        batch.outputs.begin() + e.output_begin,
+        batch.outputs.begin() + e.output_begin + e.output_count);
+    instances.push_back(std::move(inst));
+  }
+  if (failed.empty()) {
+    // Report the earliest START (in time-sorted order) left unmatched.
+    size_t first_seq = order.size();
+    for (int32_t a : scratch->touched) {
+      const PairingScratch::OpenStarts& fifo =
+          scratch->open[static_cast<size_t>(a)];
+      if (!fifo.empty() && fifo.queue[fifo.head].seq < first_seq) {
+        first_seq = fifo.queue[fifo.head].seq;
+        failed = "start_without_end";
+        failed_activity = a;
+      }
+    }
+  }
+  for (int32_t a : scratch->touched) {
+    PairingScratch::OpenStarts& fifo = scratch->open[static_cast<size_t>(a)];
+    fifo.queue.clear();
+    fifo.head = 0;
+  }
+  scratch->touched.clear();
+  if (!failed.empty()) {
+    *error_class = failed;
+    return Status::InvalidArgument(StrFormat(
+        "execution '%s': %s for activity '%s'", std::string(name).c_str(),
+        failed == "end_without_start" ? "END without START"
+                                      : "START without END",
+        std::string(
+            batch.activity_names[static_cast<size_t>(failed_activity)])
+            .c_str()));
+  }
+
+  for (ActivityInstance& inst : instances) {
+    const size_t a = static_cast<size_t>(inst.activity);
+    ActivityId& id = scratch->interned[a];
+    if (id < 0) id = dict->Intern(batch.activity_names[a]);
+    inst.activity = id;
+  }
+  StableSortSmall(&instances,
+                  [](const ActivityInstance& a, const ActivityInstance& b) {
+                    return a.start < b.start;
+                  });
+  Execution exec{std::string(name)};
+  for (ActivityInstance& inst : instances) exec.Append(std::move(inst));
+  return exec;
 }
 
 Result<EventLog> AssembleEventLog(const CompactEventBatch& batch,
                                   const AssemblyRecovery& recovery) {
   PROCMINE_SPAN("log.assemble");
   const size_t num_instances = batch.instance_names.size();
-  const size_t num_activities = batch.activity_names.size();
 
   // Group event indices by process instance with a stable counting sort:
   // grouped[group_begin[i] .. group_begin[i+1]) are instance i's events in
@@ -86,120 +155,31 @@ Result<EventLog> AssembleEventLog(const CompactEventBatch& batch,
   });
 
   EventLog log;
-  // Activity interning is deferred until an END event pairs, so dictionary
-  // ids are assigned in pairing order — the same order FromEvents always
-  // produced. temp_to_final memoizes one Intern per distinct activity.
-  std::vector<ActivityId> temp_to_final(num_activities, -1);
-  std::vector<OpenStarts> open(num_activities);
-  std::vector<int32_t> touched;  // activity ids with a non-Reset() queue
-  std::vector<uint32_t> order;   // one instance's events, time-sorted
-  std::vector<ActivityInstance> instances;
-
+  PairingScratch scratch;
   for (int32_t inst_id : by_name) {
     const uint32_t begin = group_begin[static_cast<size_t>(inst_id)];
     const uint32_t end = group_begin[static_cast<size_t>(inst_id) + 1];
     if (begin == end) continue;
-    std::string_view inst_name =
-        batch.instance_names[static_cast<size_t>(inst_id)];
-
-    order.assign(grouped.begin() + begin, grouped.begin() + end);
-    StableSortSmall(&order, [&](uint32_t a, uint32_t b) {
-      const CompactEvent& x = batch.events[a];
-      const CompactEvent& y = batch.events[b];
-      if (x.timestamp != y.timestamp) return x.timestamp < y.timestamp;
-      // START before END at equal timestamps, so an instantaneous
-      // activity pairs with itself.
-      return x.type < y.type;
-    });
-
-    auto release_queues = [&]() {
-      for (int32_t a : touched) open[static_cast<size_t>(a)].Reset();
-      touched.clear();
-    };
-
-    instances.clear();
-    std::string_view fail_class;  // empty = this instance paired cleanly
-    std::string fail_detail;
-    for (size_t seq = 0; seq < order.size(); ++seq) {
-      const CompactEvent& e = batch.events[order[seq]];
-      OpenStarts& fifo = open[static_cast<size_t>(e.activity)];
-      if (e.type == EventType::kStart) {
-        if (fifo.queue.empty()) touched.push_back(e.activity);
-        fifo.queue.push_back({e.timestamp, seq});
-        continue;
-      }
-      if (fifo.empty()) {
-        fail_class = "end_without_start";
-        fail_detail = StrFormat(
-            "execution '%s': END without START for activity '%s'",
-            std::string(inst_name).c_str(),
-            std::string(batch.activity_names[static_cast<size_t>(e.activity)])
-                .c_str());
-        break;
-      }
-      ActivityInstance inst;
-      inst.activity = e.activity;  // temp id; remapped below
-      inst.start = fifo.queue[fifo.head++].timestamp;
-      inst.end = e.timestamp;
-      inst.output.assign(
-          batch.outputs.begin() + e.output_begin,
-          batch.outputs.begin() + e.output_begin + e.output_count);
-      instances.push_back(std::move(inst));
+    std::string_view error_class;
+    Result<Execution> exec = AssembleExecution(
+        batch, batch.instance_names[static_cast<size_t>(inst_id)],
+        std::span<const uint32_t>(grouped.data() + begin, end - begin),
+        &log.dictionary(), &scratch, &error_class);
+    if (exec.ok()) {
+      log.AddExecution(std::move(*exec));
+      continue;
     }
-    if (fail_class.empty()) {
-      // Report the earliest START (in time-sorted order) left unmatched.
-      size_t first_seq = order.size();
-      int32_t first_activity = -1;
-      for (int32_t a : touched) {
-        const OpenStarts& fifo = open[static_cast<size_t>(a)];
-        if (!fifo.empty() && fifo.queue[fifo.head].seq < first_seq) {
-          first_seq = fifo.queue[fifo.head].seq;
-          first_activity = a;
-        }
-      }
-      if (first_activity >= 0) {
-        fail_class = "start_without_end";
-        fail_detail = StrFormat(
-            "execution '%s': START without END for activity '%s'",
-            std::string(inst_name).c_str(),
-            std::string(
-                batch.activity_names[static_cast<size_t>(first_activity)])
-                .c_str());
+    if (recovery.policy == RecoveryPolicy::kStrict) return exec.status();
+    if (recovery.report != nullptr) {  // drop the whole execution
+      ++recovery.report->executions_dropped;
+      recovery.report->AddErrorClass(error_class);
+      if (recovery.policy == RecoveryPolicy::kQuarantine) {
+        QuarantineRecord record;
+        record.error_class = std::string(error_class);
+        record.raw = exec.status().message();
+        recovery.report->quarantined.push_back(std::move(record));
       }
     }
-    release_queues();
-    if (!fail_class.empty()) {
-      if (recovery.policy == RecoveryPolicy::kStrict) {
-        return Status::InvalidArgument(fail_detail);
-      }
-      if (recovery.report != nullptr) {
-        ++recovery.report->executions_dropped;
-        recovery.report->AddErrorClass(fail_class);
-        if (recovery.policy == RecoveryPolicy::kQuarantine) {
-          QuarantineRecord record;
-          record.error_class = std::string(fail_class);
-          record.raw = std::move(fail_detail);
-          recovery.report->quarantined.push_back(std::move(record));
-        }
-      }
-      continue;  // drop the whole execution
-    }
-
-    for (ActivityInstance& inst : instances) {
-      ActivityId& final_id = temp_to_final[static_cast<size_t>(inst.activity)];
-      if (final_id < 0) {
-        final_id = log.dictionary().Intern(
-            batch.activity_names[static_cast<size_t>(inst.activity)]);
-      }
-      inst.activity = final_id;
-    }
-    StableSortSmall(&instances,
-                    [](const ActivityInstance& a, const ActivityInstance& b) {
-                      return a.start < b.start;
-                    });
-    Execution exec{std::string(inst_name)};
-    for (ActivityInstance& inst : instances) exec.Append(std::move(inst));
-    log.AddExecution(std::move(exec));
   }
   return log;
 }

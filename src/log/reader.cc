@@ -1,9 +1,7 @@
 #include "log/reader.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstring>
-#include <sstream>
 #include <unordered_map>
 
 #include "log/event_assembly.h"
@@ -16,65 +14,8 @@
 
 namespace procmine {
 
-Result<std::vector<Event>> LogReader::ParseEvents(const std::string& text) {
-  std::vector<Event> events;
-  std::istringstream stream(text);
-  std::string line;
-  int64_t line_no = 0;
-  while (std::getline(stream, line)) {
-    ++line_no;
-    std::string_view trimmed = Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    std::vector<std::string> fields = SplitWhitespace(trimmed);
-    if (fields.size() < 4) {
-      return Status::InvalidArgument(
-          StrFormat("line %lld: expected at least 4 fields, got %zu",
-                    static_cast<long long>(line_no), fields.size()));
-    }
-    Event event;
-    event.process_instance = fields[0];
-    event.activity = fields[1];
-    if (fields[2] == "START") {
-      event.type = EventType::kStart;
-    } else if (fields[2] == "END") {
-      event.type = EventType::kEnd;
-    } else {
-      return Status::InvalidArgument(
-          StrFormat("line %lld: event type must be START or END, got '%s'",
-                    static_cast<long long>(line_no), fields[2].c_str()));
-    }
-    auto ts = ParseInt64(fields[3]);
-    if (!ts.ok()) {
-      return Status::InvalidArgument(
-          StrFormat("line %lld: bad timestamp: %s",
-                    static_cast<long long>(line_no),
-                    ts.status().message().c_str()));
-    }
-    event.timestamp = *ts;
-    if (fields.size() > 4) {
-      if (event.type == EventType::kStart) {
-        return Status::InvalidArgument(StrFormat(
-            "line %lld: output parameters are only valid on END events",
-            static_cast<long long>(line_no)));
-      }
-      for (size_t i = 4; i < fields.size(); ++i) {
-        auto value = ParseInt64(fields[i]);
-        if (!value.ok()) {
-          return Status::InvalidArgument(
-              StrFormat("line %lld: bad output parameter '%s'",
-                        static_cast<long long>(line_no), fields[i].c_str()));
-        }
-        event.output.push_back(*value);
-      }
-    }
-    events.push_back(std::move(event));
-  }
-  return events;
-}
-
 Result<EventLog> LogReader::ReadString(const std::string& text) {
-  PROCMINE_ASSIGN_OR_RETURN(std::vector<Event> events, ParseEvents(text));
-  return EventLog::FromEvents(events);
+  return ParseText(text);
 }
 
 namespace {
@@ -134,25 +75,6 @@ int32_t InternView(std::unordered_map<std::string_view, int32_t>* ids,
   return it->second;
 }
 
-/// The std::isspace C-locale set without going through libc: space plus
-/// the \t..\r control range.
-inline bool IsFieldSpace(char c) {
-  return c == ' ' || static_cast<unsigned char>(c - '\t') <= '\r' - '\t';
-}
-
-/// Strict integer scan for the hot path: digits with an optional '-', fully
-/// consumed. Anything else (leading '+', whitespace, junk) falls back to
-/// ParseInt64, which owns the exact dialect and error wording.
-inline bool FastParseInt(std::string_view s, int64_t* out) {
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
-/// Tokenize-and-encode pass over one chunk of whole lines. Validation order
-/// and error wording replicate LogReader::ParseEvents exactly; the events
-/// themselves are dictionary-encoded on the fly instead of materialized.
-/// The loop is a single pointer scan: fields are carved out in place, so no
-/// per-line Trim/split containers and no string copies on the happy path.
 /// Lines remaining in [p, end): newline count plus a final unterminated line.
 int64_t CountRemainingLines(const char* p, const char* end) {
   int64_t lines = 0;
@@ -166,6 +88,9 @@ int64_t CountRemainingLines(const char* p, const char* end) {
   return lines;
 }
 
+/// Tokenize-and-encode pass over one chunk of whole lines: ScanEventLine
+/// per line, with names dictionary-encoded on the fly instead of
+/// materialized.
 void ParseShard(std::string_view chunk, RecoveryPolicy policy,
                 const LogParseOptions& options, ParseShardResult* r) {
   PROCMINE_SPAN("log.parse_shard");
@@ -180,6 +105,7 @@ void ParseShard(std::string_view chunk, RecoveryPolicy policy,
   std::string_view last_instance, last_activity;
   int32_t last_instance_id = -1, last_activity_id = -1;
   ProbeTicker probe(options.probe_period_lines);
+  ScannedLine line;
   const char* p = chunk.data();
   const char* const end = p + chunk.size();
   while (p < end) {
@@ -199,113 +125,41 @@ void ParseShard(std::string_view chunk, RecoveryPolicy policy,
     }
     const char* nl = static_cast<const char*>(
         memchr(p, '\n', static_cast<size_t>(end - p)));
-    const char* const line_end = nl != nullptr ? nl : end;
-    const char* q = p;
     const char* const line_begin = p;
+    const char* const line_end = nl != nullptr ? nl : end;
     p = nl != nullptr ? nl + 1 : end;
     ++r->lines;
-    // Carve the four fixed fields.
-    std::string_view fields[4];
-    size_t nfields = 0;
-    while (nfields < 4) {
-      while (q < line_end && IsFieldSpace(*q)) ++q;
-      if (q == line_end) break;
-      const char* f = q;
-      while (q < line_end && !IsFieldSpace(*q)) ++q;
-      fields[nfields++] = std::string_view(f, static_cast<size_t>(q - f));
-    }
-    if (nfields == 0) continue;           // blank line
-    if (fields[0][0] == '#') continue;    // comment
-    if (nfields < 4) {                    // scanner drained the line
-      if (SkipOrFail(r, policy, "short_line",
-                     StrFormat("expected at least 4 fields, got %zu", nfields),
-                     line_begin, line_end, chunk)) {
-        continue;
-      }
-      return;
-    }
     CompactEvent event;
-    if (fields[2] == "START") {
-      event.type = EventType::kStart;
-    } else if (fields[2] == "END") {
-      event.type = EventType::kEnd;
-    } else {
-      if (SkipOrFail(r, policy, "bad_event_type",
-                     StrFormat("event type must be START or END, got '%s'",
-                               std::string(fields[2]).c_str()),
-                     line_begin, line_end, chunk)) {
+    event.output_begin = static_cast<uint32_t>(r->outputs.size());
+    switch (ScanEventLine(line_begin, line_end, &r->outputs, &line)) {
+      case LineScan::kEvent:
+        break;
+      case LineScan::kIgnored:
         continue;
-      }
-      return;
-    }
-    if (!FastParseInt(fields[3], &event.timestamp)) {
-      auto ts = ParseInt64(fields[3]);
-      if (!ts.ok()) {
-        if (SkipOrFail(r, policy, "bad_timestamp",
-                       StrFormat("bad timestamp: %s",
-                                 ts.status().message().c_str()),
+      case LineScan::kMalformed:
+        if (SkipOrFail(r, policy, line.error_class, std::move(line.error),
                        line_begin, line_end, chunk)) {
           continue;
         }
         return;
-      }
-      event.timestamp = *ts;
     }
-    // Any remaining tokens are output parameters, parsed as encountered.
-    event.output_begin = static_cast<uint32_t>(r->outputs.size());
-    bool line_failed = false;
-    for (;;) {
-      while (q < line_end && IsFieldSpace(*q)) ++q;
-      if (q == line_end) break;
-      const char* f = q;
-      while (q < line_end && !IsFieldSpace(*q)) ++q;
-      std::string_view token(f, static_cast<size_t>(q - f));
-      if (event.output_count == 0 && event.type == EventType::kStart) {
-        if (SkipOrFail(r, policy, "output_on_start",
-                       "output parameters are only valid on END events",
-                       line_begin, line_end, chunk)) {
-          line_failed = true;
-          break;
-        }
-        return;
-      }
-      int64_t value;
-      if (!FastParseInt(token, &value)) {
-        auto parsed = ParseInt64(token);
-        if (!parsed.ok()) {
-          if (SkipOrFail(r, policy, "bad_output",
-                         StrFormat("bad output parameter '%s'",
-                                   std::string(token).c_str()),
-                         line_begin, line_end, chunk)) {
-            line_failed = true;
-            break;
-          }
-          return;
-        }
-        value = *parsed;
-      }
-      r->outputs.push_back(value);
-      ++event.output_count;
-    }
-    if (line_failed) {
-      // Unwind output values the dropped line already pooled.
-      r->outputs.resize(event.output_begin);
-      continue;
-    }
-    if (fields[0] == last_instance) {
+    event.type = line.type;
+    event.timestamp = line.timestamp;
+    event.output_count = line.output_count;
+    if (line.instance == last_instance) {
       event.instance = last_instance_id;
     } else {
       event.instance =
-          InternView(&instance_ids, &r->instance_names, fields[0]);
-      last_instance = fields[0];
+          InternView(&instance_ids, &r->instance_names, line.instance);
+      last_instance = line.instance;
       last_instance_id = event.instance;
     }
-    if (fields[1] == last_activity) {
+    if (line.activity == last_activity) {
       event.activity = last_activity_id;
     } else {
       event.activity =
-          InternView(&activity_ids, &r->activity_names, fields[1]);
-      last_activity = fields[1];
+          InternView(&activity_ids, &r->activity_names, line.activity);
+      last_activity = line.activity;
       last_activity_id = event.activity;
     }
     r->events.push_back(event);

@@ -6,20 +6,18 @@
 // only appear on END events (Definition 2: O is the output of the activity
 // if E = END and a null vector otherwise).
 //
-// Two ingestion paths produce identical EventLogs (and identical error
-// messages on malformed input):
-//
-//  * ParseEvents/ReadString — the compatibility API: materializes a
-//    std::vector<Event> (two owning strings per event) and assembles it
-//    via EventLog::FromEvents.
-//  * ParseText/ReadFile — the zero-copy path: ReadFile mmaps the file
-//    (MappedFile, buffered fallback) and the fused parser tokenizes
-//    string_views straight out of the mapping, interning names into
-//    dictionary ids as it scans; no Event vector is ever built. With
-//    options.num_threads > 1 the input is split at line boundaries and
-//    parsed in parallel with shard-local dictionaries, followed by a
-//    deterministic remap+merge — the result is byte-identical to
-//    single-threaded parsing for any thread count.
+// ParseText/ReadFile is the one text path: ReadFile mmaps the file
+// (MappedFile, buffered fallback) and the fused parser tokenizes
+// string_views straight out of the mapping with ScanEventLine
+// (log/event_assembly.h), interning names into dictionary ids as it scans;
+// no Event vector is ever built. With options.num_threads > 1 the input is
+// split at line boundaries and parsed in parallel with shard-local
+// dictionaries, followed by a deterministic remap+merge — the result is
+// byte-identical to single-threaded parsing for any thread count.
+// ReadString is ParseText with default options. The streaming scan
+// (log/streaming_reader.h) runs the same tokenizer and the same START/END
+// pairing step one instance group at a time, so it accepts, rejects and
+// words errors exactly as ParseText does.
 
 #ifndef PROCMINE_LOG_READER_H_
 #define PROCMINE_LOG_READER_H_
@@ -28,7 +26,6 @@
 #include <string_view>
 #include <vector>
 
-#include "log/event.h"
 #include "log/event_log.h"
 #include "log/recovery.h"
 #include "util/budget.h"
@@ -80,16 +77,11 @@ struct LogParseOptions {
 
 class LogReader {
  public:
-  /// Parses raw event records from log text (compatibility API).
-  static Result<std::vector<Event>> ParseEvents(const std::string& text);
-
-  /// Parses log text and assembles it into an EventLog via ParseEvents
-  /// (compatibility API; prefer ParseText).
+  /// ParseText(text) with default options (compatibility API).
   static Result<EventLog> ReadString(const std::string& text);
 
   /// Fused zero-copy parser: tokenizes `text` in place and interns names
-  /// directly into the EventLog's dictionary. Equivalent to ReadString on
-  /// every input, valid or not.
+  /// directly into the EventLog's dictionary.
   static Result<EventLog> ParseText(std::string_view text,
                                     const LogParseOptions& options = {});
 

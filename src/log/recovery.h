@@ -15,13 +15,17 @@
 // skipped-line and dropped-execution totals, and the binary-salvage
 // outcome. Reports and quarantine bytes are deterministic: the sharded
 // text parser records skips per shard in file order and merges them by
-// byte offset, so any --threads value produces identical artifacts.
+// byte offset, so any --threads value produces identical artifacts. The
+// streaming reader shares the text reader's tokenizer and pairing step
+// (log/event_assembly.h), so it rejects the same inputs with the same
+// classes, counts and records.
 //
 // Error classes (the taxonomy is documented in docs/robustness.md):
 //   text lines:  short_line, bad_event_type, bad_timestamp,
 //                output_on_start, bad_output
 //   assembly:    end_without_start, start_without_end
-//   streaming:   non_contiguous_instance, negative_duration
+//   streaming:   the text and assembly classes, plus
+//                non_contiguous_instance
 //   binary logs: truncated_body, checksum_mismatch, bad_dictionary,
 //                semantic_error
 

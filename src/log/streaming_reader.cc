@@ -1,282 +1,160 @@
 #include "log/streaming_reader.h"
 
 #include <algorithm>
-#include <deque>
+#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
+#include "log/event_assembly.h"
 #include "obs/trace.h"
 #include "util/mapped_file.h"
 #include "util/strings.h"
 
 namespace procmine {
 
-namespace {
-
-/// Accumulates the events of one process instance and assembles the
-/// Execution when the group ends.
-class InstanceAssembler {
- public:
-  explicit InstanceAssembler(std::string name) : name_(std::move(name)) {}
-
-  /// On failure *error_class names the reject bucket (end_without_start,
-  /// negative_duration) for recovery-mode accounting.
-  Status Add(ActivityId activity, bool is_start, int64_t timestamp,
-             std::vector<int64_t> output, ActivityDictionary* dict,
-             std::string_view* error_class) {
-    if (is_start) {
-      open_[activity].push_back(timestamp);
-      return Status::OK();
-    }
-    auto it = open_.find(activity);
-    if (it == open_.end() || it->second.empty()) {
-      *error_class = "end_without_start";
-      return Status::InvalidArgument(
-          StrFormat("execution '%s': END without START for '%s'",
-                    name_.c_str(), dict->Name(activity).c_str()));
-    }
-    ActivityInstance inst;
-    inst.activity = activity;
-    inst.start = it->second.front();
-    it->second.pop_front();
-    inst.end = timestamp;
-    inst.output = std::move(output);
-    if (inst.end < inst.start) {
-      *error_class = "negative_duration";
-      return Status::InvalidArgument(
-          StrFormat("execution '%s': negative duration for '%s'",
-                    name_.c_str(), dict->Name(activity).c_str()));
-    }
-    instances_.push_back(std::move(inst));
-    return Status::OK();
-  }
-
-  Result<Execution> Finish(const ActivityDictionary& dict,
-                           std::string_view* error_class) {
-    for (const auto& [activity, queue] : open_) {
-      if (!queue.empty()) {
-        *error_class = "start_without_end";
-        return Status::InvalidArgument(
-            StrFormat("execution '%s': START without END for '%s'",
-                      name_.c_str(), dict.Name(activity).c_str()));
-      }
-    }
-    std::stable_sort(instances_.begin(), instances_.end(),
-                     [](const ActivityInstance& a, const ActivityInstance& b) {
-                       return a.start < b.start;
-                     });
-    Execution exec(name_);
-    for (ActivityInstance& inst : instances_) exec.Append(std::move(inst));
-    return exec;
-  }
-
-  const std::string& name() const { return name_; }
-
- private:
-  std::string name_;
-  std::unordered_map<ActivityId, std::deque<int64_t>> open_;
-  std::vector<ActivityInstance> instances_;
-};
-
-/// Line-at-a-time scan state, shared by the istream loop and the mmap file
-/// path: ProcessLine per input line (views may alias caller storage; they
-/// are consumed before return), then Finish once at end of input.
-class StreamParser {
- public:
-  StreamParser(const ExecutionCallback& callback, const StreamOptions& options)
-      : callback_(callback), options_(options) {
-    fields_.reserve(8);
-    if (options_.report != nullptr) {
-      options_.report->policy = options_.recovery;
-    }
-  }
-
-  /// `offset` is the line's byte offset in the source (for quarantine
-  /// records); -1 when the source is not byte-addressed (istream).
-  Status ProcessLine(std::string_view line, int64_t offset = -1) {
-    ++stats_.lines;
-    if (options_.report != nullptr) ++options_.report->lines_total;
-    std::string_view trimmed = Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') return Status::OK();
-    SplitWhitespaceViews(trimmed, &fields_);
-    if (fields_.size() < 4) {
-      if (SkipLine("short_line", line, offset)) return Status::OK();
-      return Status::InvalidArgument(
-          StrFormat("line %lld: expected at least 4 fields",
-                    static_cast<long long>(stats_.lines)));
-    }
-    std::string_view instance = fields_[0];
-    bool is_start = fields_[2] == "START";
-    if (!is_start && fields_[2] != "END") {
-      if (SkipLine("bad_event_type", line, offset)) return Status::OK();
-      return Status::InvalidArgument(
-          StrFormat("line %lld: bad event type '%s'",
-                    static_cast<long long>(stats_.lines),
-                    std::string(fields_[2]).c_str()));
-    }
-    auto timestamp = ParseInt64(fields_[3]);
-    if (!timestamp.ok()) {
-      if (SkipLine("bad_timestamp", line, offset)) return Status::OK();
-      return Status::InvalidArgument(
-          StrFormat("line %lld: bad timestamp",
-                    static_cast<long long>(stats_.lines)));
-    }
-    std::vector<int64_t> output;
-    for (size_t i = 4; i < fields_.size(); ++i) {
-      auto value = ParseInt64(fields_[i]);
-      if (!value.ok()) {
-        if (SkipLine("bad_output", line, offset)) return Status::OK();
-        return value.status();
-      }
-      output.push_back(*value);
-    }
-
-    if (current_ == nullptr || current_->name() != instance) {
-      if (finished_.count(std::string(instance)) > 0) {
-        if (SkipLine("non_contiguous_instance", line, offset)) {
-          return Status::OK();
-        }
-        return Status::InvalidArgument(StrFormat(
-            "line %lld: events of instance '%s' are not contiguous",
-            static_cast<long long>(stats_.lines),
-            std::string(instance).c_str()));
-      }
-      PROCMINE_RETURN_NOT_OK(FinishCurrent());
-      current_ = std::make_unique<InstanceAssembler>(std::string(instance));
-      poison_class_ = {};
-      poison_detail_.clear();
-    }
-    if (!poison_class_.empty()) return Status::OK();  // drop poisoned group
-    if (options_.report != nullptr) ++options_.report->events_parsed;
-    ++stats_.events;
-    std::string_view error_class;
-    Status added = current_->Add(dict_.Intern(fields_[1]), is_start,
-                                 *timestamp, std::move(output), &dict_,
-                                 &error_class);
-    if (!added.ok() && options_.recovery != RecoveryPolicy::kStrict) {
-      // The execution is unusable, but its group must still be consumed to
-      // keep contiguity tracking intact — poison it instead of returning.
-      poison_class_ = error_class;
-      poison_detail_ = added.message();
-      return Status::OK();
-    }
-    return added;
-  }
-
-  Result<StreamingStats> Finish() {
-    PROCMINE_RETURN_NOT_OK(FinishCurrent());
-    return stats_;
-  }
-
- private:
-  /// Recovery-mode line drop: returns true when the line was skipped
-  /// (recorded in the report), false when strict semantics apply.
-  bool SkipLine(std::string_view error_class, std::string_view line,
-                int64_t offset) {
-    if (options_.recovery == RecoveryPolicy::kStrict) return false;
-    if (options_.report != nullptr) {
-      ++options_.report->lines_skipped;
-      options_.report->AddErrorClass(error_class);
-      if (options_.recovery == RecoveryPolicy::kQuarantine) {
-        QuarantineRecord record;
-        record.byte_offset = offset;
-        record.line = stats_.lines;
-        record.error_class = std::string(error_class);
-        record.raw = std::string(line);
-        options_.report->quarantined.push_back(std::move(record));
-      }
-    }
-    return true;
-  }
-
-  /// Drops the current execution (recovery) instead of failing the scan.
-  void DropCurrent(std::string_view error_class, std::string detail) {
-    if (options_.report != nullptr) {
-      ++options_.report->executions_dropped;
-      options_.report->AddErrorClass(error_class);
-      if (options_.recovery == RecoveryPolicy::kQuarantine) {
-        QuarantineRecord record;
-        record.error_class = std::string(error_class);
-        record.raw = std::move(detail);
-        options_.report->quarantined.push_back(std::move(record));
-      }
-    }
-  }
-
-  Status FinishCurrent() {
-    if (current_ == nullptr) return Status::OK();
-    finished_.insert(current_->name());
-    if (!poison_class_.empty()) {  // failed during Add: already classified
-      DropCurrent(poison_class_, std::move(poison_detail_));
-      current_.reset();
-      poison_class_ = {};
-      poison_detail_.clear();
-      return Status::OK();
-    }
-    std::string_view error_class;
-    auto exec = current_->Finish(dict_, &error_class);
-    if (!exec.ok()) {
-      if (options_.recovery == RecoveryPolicy::kStrict) return exec.status();
-      DropCurrent(error_class, exec.status().message());
-      current_.reset();
-      return Status::OK();
-    }
-    current_.reset();
-    ++stats_.executions;
-    return callback_(*exec, dict_);
-  }
-
-  const ExecutionCallback& callback_;
-  StreamOptions options_;
-  StreamingStats stats_;
-  ActivityDictionary dict_;
-  std::unordered_set<std::string> finished_;
-  std::unique_ptr<InstanceAssembler> current_;
-  std::string_view poison_class_;  // non-empty: current_ is condemned
-  std::string poison_detail_;
-  std::vector<std::string_view> fields_;
-};
-
-}  // namespace
-
-Result<StreamingStats> StreamLog(std::istream* input,
-                                 const ExecutionCallback& callback) {
-  return StreamLog(input, callback, StreamOptions{});
-}
-
-Result<StreamingStats> StreamLog(std::istream* input,
-                                 const ExecutionCallback& callback,
-                                 const StreamOptions& options) {
-  StreamParser parser(callback, options);
-  std::string line;
-  while (std::getline(*input, line)) {
-    PROCMINE_RETURN_NOT_OK(parser.ProcessLine(line));
-  }
-  if (input->bad()) return Status::IOError("stream read failed");
-  return parser.Finish();
-}
-
-Result<StreamingStats> StreamLogFile(const std::string& path,
-                                     const ExecutionCallback& callback) {
-  return StreamLogFile(path, callback, StreamOptions{});
-}
-
 Result<StreamingStats> StreamLogFile(const std::string& path,
                                      const ExecutionCallback& callback,
                                      const StreamOptions& options) {
   PROCMINE_SPAN("log.stream_mmap");
   PROCMINE_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
-  StreamParser parser(callback, options);
-  std::string_view data = file.data();
-  size_t pos = 0;
-  while (pos < data.size()) {
-    size_t eol = data.find('\n', pos);
-    if (eol == std::string_view::npos) eol = data.size();
-    PROCMINE_RETURN_NOT_OK(parser.ProcessLine(data.substr(pos, eol - pos),
-                                              static_cast<int64_t>(pos)));
-    pos = eol + 1;
+  const std::string_view data = file.data();
+  const RecoveryPolicy policy = options.recovery;
+  IngestionReport* const report = options.report;
+  if (report != nullptr) report->policy = policy;
+
+  StreamingStats stats;
+  ActivityDictionary dict;
+  PairingScratch scratch;
+  // The open group's events, over one scan-wide activity table. Every name
+  // view aliases the mapping.
+  CompactEventBatch group;
+  std::vector<uint32_t> group_events;  // 0..n-1: the group's event indices
+  std::string_view group_name;         // empty while no group is open
+  std::unordered_map<std::string_view, int32_t> activity_ids;
+  std::unordered_set<std::string_view> finished;
+  // kStrict: the pairing failure ParseText would report — the first in
+  // instance-name order. Once set, no further callback fires.
+  Status failed;
+  std::string_view failed_name;
+  // Dropped executions' quarantine records; ParseText lists them after the
+  // line rejects, in instance-name order.
+  std::vector<std::pair<std::string_view, QuarantineRecord>> dropped;
+
+  // Pairs and delivers the open group. The pool's values from `keep_from`
+  // on belong to the line that opens the next group and are kept.
+  auto close_group = [&](uint32_t keep_from) -> Status {
+    std::string_view name = std::exchange(group_name, {});
+    std::string_view error_class;
+    Result<Execution> exec = AssembleExecution(
+        group, name, group_events, &dict, &scratch, &error_class);
+    finished.insert(name);
+    group.events.clear();
+    group_events.clear();
+    group.outputs.erase(group.outputs.begin(),
+                        group.outputs.begin() + keep_from);
+    if (!exec.ok()) {
+      if (policy == RecoveryPolicy::kStrict) {
+        if (failed.ok() || name < failed_name) {
+          failed = exec.status();
+          failed_name = name;
+        }
+      } else if (report != nullptr) {
+        ++report->executions_dropped;
+        report->AddErrorClass(error_class);
+        if (policy == RecoveryPolicy::kQuarantine) {
+          QuarantineRecord record;
+          record.error_class = std::string(error_class);
+          record.raw = exec.status().message();
+          dropped.emplace_back(name, std::move(record));
+        }
+      }
+      return Status::OK();
+    }
+    if (!failed.ok()) return Status::OK();
+    ++stats.executions;
+    return callback(*exec, dict);
+  };
+
+  ScannedLine line;
+  const char* p = data.data();
+  const char* const end = p + data.size();
+  while (p < end) {
+    const char* nl = static_cast<const char*>(
+        memchr(p, '\n', static_cast<size_t>(end - p)));
+    const char* const line_begin = p;
+    const char* const line_end = nl != nullptr ? nl : end;
+    p = nl != nullptr ? nl + 1 : end;
+    ++stats.lines;
+    if (report != nullptr) ++report->lines_total;
+    CompactEvent event;
+    event.output_begin = static_cast<uint32_t>(group.outputs.size());
+    LineScan scan = ScanEventLine(line_begin, line_end, &group.outputs, &line);
+    if (scan == LineScan::kIgnored) continue;
+    if (scan == LineScan::kEvent && line.instance != group_name) {
+      if (finished.count(line.instance) > 0) {
+        group.outputs.resize(event.output_begin);
+        scan = LineScan::kMalformed;
+        line.error_class = "non_contiguous_instance";
+        line.error = StrFormat("events of instance '%s' are not contiguous",
+                               std::string(line.instance).c_str());
+      } else {
+        if (!group_name.empty()) {
+          PROCMINE_RETURN_NOT_OK(close_group(event.output_begin));
+          event.output_begin = 0;
+        }
+        group_name = line.instance;
+      }
+    }
+    if (scan == LineScan::kMalformed) {
+      if (policy == RecoveryPolicy::kStrict) {
+        return Status::InvalidArgument(
+            StrFormat("line %lld: %s", static_cast<long long>(stats.lines),
+                      line.error.c_str()));
+      }
+      if (report != nullptr) {
+        ++report->lines_skipped;
+        report->AddErrorClass(line.error_class);
+        if (policy == RecoveryPolicy::kQuarantine) {
+          QuarantineRecord record;
+          record.byte_offset = line_begin - data.data();
+          record.line = stats.lines;
+          record.error_class = std::string(line.error_class);
+          record.raw.assign(line_begin,
+                            static_cast<size_t>(line_end - line_begin));
+          report->quarantined.push_back(std::move(record));
+        }
+      }
+      continue;
+    }
+    ++stats.events;
+    if (report != nullptr) ++report->events_parsed;
+    auto [it, inserted] = activity_ids.emplace(
+        line.activity, static_cast<int32_t>(group.activity_names.size()));
+    if (inserted) group.activity_names.push_back(line.activity);
+    event.activity = it->second;
+    event.type = line.type;
+    event.timestamp = line.timestamp;
+    event.output_count = line.output_count;
+    group_events.push_back(static_cast<uint32_t>(group.events.size()));
+    group.events.push_back(event);
   }
-  return parser.Finish();
+  if (!group_name.empty()) {
+    PROCMINE_RETURN_NOT_OK(
+        close_group(static_cast<uint32_t>(group.outputs.size())));
+  }
+  if (!failed.ok()) return failed;
+  if (report != nullptr) {
+    std::stable_sort(dropped.begin(), dropped.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    for (auto& [name, record] : dropped) {
+      report->quarantined.push_back(std::move(record));
+    }
+  }
+  return stats;
 }
 
 }  // namespace procmine

@@ -1,20 +1,29 @@
 // StreamingLogReader: bounded-memory scan of very large text logs.
 //
 // The paper's 10000-execution logs ran to 107 MB; materializing an EventLog
-// needs all of it in memory. This reader scans the text format
-// execution-group by execution-group, invoking a callback as each process
-// instance completes, holding only the open instances — this is how the
-// IncrementalMiner consumes logs that never fit in memory.
+// needs all of it in memory. This reader memory-maps the file and scans it
+// one execution group at a time, invoking a callback as each process
+// instance completes — this is how the IncrementalMiner and the segment
+// store writer consume logs that never fit in memory. Memory holds the
+// current group's events plus one name per finished instance (the
+// contiguity check below needs them); the names are views into the
+// mapping, so the OS pages them in and out with it.
+//
+// The scan is ParseText (log/reader.h) applied to one contiguous instance
+// group at a time: the same tokenizer (ScanEventLine) and the same
+// START/END pairing step (AssembleExecution), so on contiguous input it
+// accepts and rejects exactly what ParseText does, with ParseText's error
+// texts, error classes, report counts and quarantine records.
 //
 // Requirement on the input (met by LogWriter and the engine): all events of
-// one process instance are contiguous in the file. Interleaved instances
-// are detected and reported as an error.
+// one process instance are contiguous in the file. A line of an instance
+// whose group already ended is rejected (error class
+// non_contiguous_instance).
 
 #ifndef PROCMINE_LOG_STREAMING_READER_H_
 #define PROCMINE_LOG_STREAMING_READER_H_
 
 #include <functional>
-#include <istream>
 #include <string>
 
 #include "log/event_log.h"
@@ -31,38 +40,31 @@ using ExecutionCallback =
 
 /// Statistics of one streaming pass.
 struct StreamingStats {
-  int64_t executions = 0;
-  int64_t events = 0;
-  int64_t lines = 0;
+  int64_t executions = 0;  ///< executions delivered to the callback
+  int64_t events = 0;      ///< events that survived line parsing
+  int64_t lines = 0;       ///< every line, blank and comment lines included
 };
 
 /// Recovery knobs for the streaming scan.
 struct StreamOptions {
-  /// Under kSkip / kQuarantine: malformed lines are dropped (error classes
-  /// short_line, bad_event_type, bad_timestamp, bad_output,
-  /// non_contiguous_instance), and an execution whose events do not pair is
-  /// poisoned — its callback never fires and it is counted as dropped
-  /// (end_without_start, negative_duration, start_without_end).
+  /// As LogParseOptions::recovery. Under kStrict the scan fails with the
+  /// error ParseText reports for the same input: the first malformed line,
+  /// else the pairing failure of the first instance in name order (once an
+  /// execution fails to pair no further callback fires; the scan runs on
+  /// only to find that error). Under kSkip / kQuarantine malformed lines
+  /// are dropped and an execution whose events do not pair is dropped — its
+  /// callback never fires. A non-contiguous line is rejected immediately
+  /// under kStrict and dropped as non_contiguous_instance otherwise.
   RecoveryPolicy recovery = RecoveryPolicy::kStrict;
+  /// When non-null, filled as LogParseOptions::report is: line rejects in
+  /// file order, then dropped executions in instance-name order.
   IngestionReport* report = nullptr;
 };
 
-/// Scans `input` (text event format) and invokes `callback` per execution.
-Result<StreamingStats> StreamLog(std::istream* input,
-                                 const ExecutionCallback& callback);
-Result<StreamingStats> StreamLog(std::istream* input,
-                                 const ExecutionCallback& callback,
-                                 const StreamOptions& options);
-
-/// File variant: memory-maps `path` and scans it line by line without
-/// copying (the OS pages the mapping in and out, so memory stays bounded
-/// even for logs far larger than RAM). Same callback semantics and error
-/// messages as the istream path.
-Result<StreamingStats> StreamLogFile(const std::string& path,
-                                     const ExecutionCallback& callback);
+/// Memory-maps `path` and invokes `callback` per execution, in file order.
 Result<StreamingStats> StreamLogFile(const std::string& path,
                                      const ExecutionCallback& callback,
-                                     const StreamOptions& options);
+                                     const StreamOptions& options = {});
 
 }  // namespace procmine
 

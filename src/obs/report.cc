@@ -6,6 +6,7 @@
 #include <set>
 
 #include "graph/dot.h"
+#include "log/transform.h"
 #include "mine/noise.h"
 #include "mine/relations.h"
 #include "obs/trace.h"
@@ -63,7 +64,6 @@ Result<RunReport> BuildRunReport(const EventLog& log,
 
   RunReport report;
   report.noise_threshold = options.noise_threshold;
-  report.num_executions = static_cast<int64_t>(log.num_executions());
   report.num_activities = static_cast<int64_t>(log.num_activities());
 
   if (options.ingestion != nullptr) {
@@ -88,6 +88,18 @@ Result<RunReport> BuildRunReport(const EventLog& log,
   // The driver resolves kAuto over the executions it mines (the
   // --max-executions prefix), so the report names what it ran.
   report.algorithm = AlgorithmName(recorder.algorithm());
+  // Under --max-executions the driver mined only a prefix; the counts, the
+  // audit and the sweep describe that same prefix.
+  EventLog prefix;
+  const EventLog* mined = &log;
+  if (options.budget != nullptr &&
+      options.budget->OverExecutionLimit(
+          static_cast<int64_t>(log.num_executions()))) {
+    prefix = TakeExecutions(
+        log, static_cast<size_t>(options.budget->limits().max_executions));
+    mined = &prefix;
+  }
+  report.num_executions = static_cast<int64_t>(mined->num_executions());
 
   report.edges = recorder.Edges();
   report.activity_names = recorder.names();
@@ -115,19 +127,19 @@ Result<RunReport> BuildRunReport(const EventLog& log,
     const int audit_threads = ResolveThreadCount(options.num_threads);
     std::unique_ptr<ThreadPool> audit_pool;
     if (audit_threads > 1 &&
-        log.num_executions() >= ThreadPool::kSmallInputInlineThreshold) {
+        mined->num_executions() >= ThreadPool::kSmallInputInlineThreshold) {
       audit_pool = std::make_unique<ThreadPool>(audit_threads);
     }
     Relations relations =
-        Relations::Compute(log, audit_pool.get(), options.chunk_size);
+        Relations::Compute(*mined, audit_pool.get(), options.chunk_size);
     report.conformance =
-        checker.CheckLog(log, /*record_verdicts=*/true, &relations);
+        checker.CheckLog(*mined, /*record_verdicts=*/true, &relations);
   }
 
   if (!BudgetCut(options.budget, &report.degradation, "report.sensitivity",
                  "noise sensitivity sweep skipped; the table is empty")) {
     PROCMINE_SPAN("report.sensitivity");
-    report.epsilon = EstimateNoiseRate(log);
+    report.epsilon = EstimateNoiseRate(*mined);
     const int64_t m = report.num_executions;
     std::vector<int64_t> sweep =
         options.sweep.empty()

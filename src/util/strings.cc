@@ -40,28 +40,6 @@ std::vector<std::string> SplitWhitespace(std::string_view text) {
   return parts;
 }
 
-namespace {
-
-/// The std::isspace C-locale set (space plus the \t..\r control range)
-/// without the libc call — this runs per byte of every parsed log line.
-inline bool IsAsciiSpace(char c) {
-  return c == ' ' || static_cast<unsigned char>(c - '\t') <= '\r' - '\t';
-}
-
-}  // namespace
-
-void SplitWhitespaceViews(std::string_view text,
-                          std::vector<std::string_view>* out) {
-  out->clear();
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && IsAsciiSpace(text[i])) ++i;
-    size_t start = i;
-    while (i < text.size() && !IsAsciiSpace(text[i])) ++i;
-    if (i > start) out->push_back(text.substr(start, i - start));
-  }
-}
-
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view sep) {
   std::string out;

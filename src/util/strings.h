@@ -20,12 +20,6 @@ std::vector<std::string> Split(std::string_view text, char sep);
 /// Splits `text` on runs of ASCII whitespace, dropping empty fields.
 std::vector<std::string> SplitWhitespace(std::string_view text);
 
-/// Zero-copy SplitWhitespace: appends views into `text` onto `*out` after
-/// clearing it. The views alias `text`; reusing one `out` vector across
-/// calls keeps the hot readers allocation-free.
-void SplitWhitespaceViews(std::string_view text,
-                          std::vector<std::string_view>* out);
-
 /// Joins `parts` with `sep` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 

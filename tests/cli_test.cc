@@ -383,6 +383,15 @@ TEST_F(CliTest, ReportNamesTheAlgorithmMinedOverTheExecutionPrefix) {
         << path << "\n" << json;
     EXPECT_NE(json.find("\"occurrence_labeled\": false"), std::string::npos)
         << path;
+    // Counts, verdicts and the sweep cover the mined prefix only.
+    EXPECT_NE(json.find("\"num_executions\": 1,"), std::string::npos)
+        << path << "\n" << json;
+    size_t verdicts = 0;
+    for (size_t at = json.find("{\"execution\": "); at != std::string::npos;
+         at = json.find("{\"execution\": ", at + 1)) {
+      ++verdicts;
+    }
+    EXPECT_EQ(verdicts, 1u) << path << "\n" << json;
   }
 }
 
@@ -582,6 +591,36 @@ TEST_F(MonitorCliTest, OutputsBytesIdenticalAcrossThreadsChunksAndStream) {
             ReadFileOrEmpty(dir_ + "/t1/reg/v000002.json"));
   EXPECT_EQ(ReadFileOrEmpty(dir_ + "/stream/reg/v000004.json"),
             ReadFileOrEmpty(dir_ + "/t1/reg/v000004.json"));
+}
+
+TEST_F(MonitorCliTest, StreamRecoveryReportsLikeBatch) {
+  // A junk line in the flip log: --stream must summarize the skip and write
+  // the same quarantine sidecar as the batch monitor.
+  std::string hostile = dir_ + "/hostile.log";
+  std::string text = ReadFileOrEmpty(log_path_);
+  size_t cut = text.find('\n', text.size() / 2) + 1;
+  text.insert(cut, "junk\n");
+  {
+    std::ofstream out(hostile, std::ios::binary);
+    out << text;
+  }
+  std::string outputs[2];
+  std::string sidecars[2];
+  const char* modes[2] = {"", "--stream"};
+  for (int i = 0; i < 2; ++i) {
+    std::string sidecar = dir_ + "/monitor_" + std::to_string(i) + ".q";
+    CommandResult result =
+        RunCli("monitor " + hostile + " --window-executions=100 " +
+               "--alerts-out=" + dir_ + "/alerts_" + std::to_string(i) +
+               " --quarantine-out=" + sidecar + " " + modes[i]);
+    EXPECT_EQ(result.exit_code, 1) << result.output;
+    EXPECT_NE(result.output.find("skipped 1 lines"), std::string::npos)
+        << modes[i] << "\n" << result.output;
+    sidecars[i] = ReadFileOrEmpty(sidecar);
+    EXPECT_NE(sidecars[i].find("short_line\tjunk"), std::string::npos)
+        << modes[i] << "\n" << sidecars[i];
+  }
+  EXPECT_EQ(sidecars[1], sidecars[0]);
 }
 
 TEST_F(MonitorCliTest, DriftFreeNoisyLogExitsZero) {
@@ -796,6 +835,36 @@ TEST_F(StoreCliTest, SpillDirMinesTextThroughStore) {
   EXPECT_NE(spilled.output.find("mined out of core"), std::string::npos);
   CommandResult direct = RunCli("mine " + log_path_);
   ASSERT_EQ(direct.exit_code, 0);
+  auto dot = [](const std::string& s) {
+    return s.substr(s.find("digraph"));
+  };
+  EXPECT_EQ(dot(spilled.output), dot(direct.output));
+}
+
+TEST_F(StoreCliTest, SpillDirRecoversLikeTheDirectMine) {
+  // The spill scan shares ParseText's tokenizer and pairing step: same
+  // strict error, and under quarantine the same sidecar bytes and model.
+  std::string hostile = WriteGarbageLog(dir_);
+  CommandResult strict_direct = RunCli("mine " + hostile);
+  CommandResult strict_spill =
+      RunCli("mine --spill-dir=" + dir_ + "/strict_spill " + hostile);
+  EXPECT_EQ(strict_direct.exit_code, 3);
+  EXPECT_EQ(strict_spill.exit_code, 3);
+  EXPECT_EQ(strict_spill.output, strict_direct.output);
+
+  std::string direct_q = dir_ + "/direct.quarantine";
+  std::string spill_q = dir_ + "/spill.quarantine";
+  CommandResult direct =
+      RunCli("mine --quarantine-out=" + direct_q + " " + hostile);
+  CommandResult spilled = RunCli("mine --spill-dir=" + dir_ +
+                                 "/quarantine_spill --quarantine-out=" +
+                                 spill_q + " " + hostile);
+  ASSERT_EQ(direct.exit_code, 0) << direct.output;
+  ASSERT_EQ(spilled.exit_code, 0) << spilled.output;
+  std::string quarantine = ReadFileOrEmpty(direct_q);
+  EXPECT_NE(quarantine.find("short_line"), std::string::npos) << quarantine;
+  EXPECT_NE(quarantine.find("end_without_start"), std::string::npos);
+  EXPECT_EQ(ReadFileOrEmpty(spill_q), quarantine);
   auto dot = [](const std::string& s) {
     return s.substr(s.find("digraph"));
   };

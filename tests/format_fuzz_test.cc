@@ -7,9 +7,11 @@
 
 #include "log/binary_log.h"
 #include "log/reader.h"
+#include "log/streaming_reader.h"
 #include "log/writer.h"
 #include "log/xes.h"
 #include "synth/random_dag.h"
+#include "temp_file.h"
 #include "util/random.h"
 #include "workflow/engine.h"
 
@@ -106,11 +108,19 @@ TEST(FormatGarbageTest, TextParserSurvivesGarbage) {
       garbage += static_cast<char>(rng.Uniform(96) + 32);
     }
     // Must not crash; may parse (if it accidentally looks like a log) or
-    // fail with a clean status.
+    // fail with a clean status. The streaming scan must agree.
     auto result = LogReader::ReadString(garbage);
     if (!result.ok()) {
       EXPECT_FALSE(result.status().message().empty());
     }
+    TempFile file(garbage);
+    auto streamed = StreamLogFile(
+        file.path(), [](const Execution&, const ActivityDictionary&) {
+          return Status::OK();
+        });
+    ASSERT_EQ(streamed.ok(), result.ok()) << garbage;
+    EXPECT_EQ(streamed.status().message(), result.status().message())
+        << garbage;
   }
 }
 

@@ -1,19 +1,21 @@
-// Old-path vs zero-copy-path ingestion equivalence.
+// Ingestion path equivalence.
 //
-// The contract of PR "zero-copy parallel ingestion": for EVERY input —
+// Every text ingestion path runs one tokenizer (ScanEventLine) and one
+// START/END pairing step (AssembleExecution), so for EVERY input —
 // well-formed engine logs, paper-style examples, and malformed text — the
 // fused parser (LogReader::ParseText / ReadFile, any thread count, any
-// shard granularity) produces exactly what the legacy
-// ParseEvents + EventLog::FromEvents pipeline produces: identical
-// dictionaries (names AND id order), identical executions, identical
-// serialized bytes, and identical error messages. This is what lets
-// ReadFile switch to the new path without any caller noticing.
+// shard granularity) matches the single-shard parse (ReadString):
+// identical dictionaries (names AND id order), identical executions,
+// identical serialized bytes, and identical error messages (MalformedCorpus
+// pins each one to the seed tokenizer's wording). The streaming
+// scan (StreamLogFile) must accept, reject, report and quarantine exactly
+// what ParseText does on contiguous input.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "log/writer.h"
 #include "synth/noise_injector.h"
 #include "synth/random_dag.h"
+#include "temp_file.h"
 #include "util/random.h"
 #include "workflow/engine.h"
 
@@ -84,22 +87,38 @@ std::vector<std::string> Corpus() {
   return corpus;
 }
 
-/// Malformed inputs; both paths must fail with the same message.
-std::vector<std::string> MalformedCorpus() {
+/// A malformed input and the strict error every text path must report: the
+/// seed tokenizer's wording, pinned here so no path can drift from it.
+struct Malformed {
+  std::string text;
+  std::string error;
+};
+
+std::vector<Malformed> MalformedCorpus() {
   return {
-      "case1 A START\n",
-      "case1 A MIDDLE 5\n",
-      "case1 A START late\n",
-      "case1 A START 0 99\n",
-      "c A END 1 notanint\n",
-      "c A START 0\nc A END x\n",
-      "c A END 5\n",                          // END without START
-      "c A START 5\n",                        // START without END
-      "c A START 1\nc A START 2\nc A END 3\n",  // one START left open
-      "ok A START 0\nok A END 1\nbad B END 9\n",
-      "# header\n\nok A START 0\nok A END 1\nshort line\n",
-      "a A START 0\na A END 1\nb B START 99999999999999999999\n",
-      "m X START 0\nm X END 1\nm Y START 2\nm Z END 3\nm Y END 4\n",
+      {"case1 A START\n", "line 1: expected at least 4 fields, got 3"},
+      {"case1 A MIDDLE 5\n",
+       "line 1: event type must be START or END, got 'MIDDLE'"},
+      {"case1 A START late\n",
+       "line 1: bad timestamp: malformed integer: 'late'"},
+      {"case1 A START 0 99\n",
+       "line 1: output parameters are only valid on END events"},
+      {"c A END 1 notanint\n", "line 1: bad output parameter 'notanint'"},
+      {"c A START 0\nc A END x\n",
+       "line 2: bad timestamp: malformed integer: 'x'"},
+      {"c A END 5\n", "execution 'c': END without START for activity 'A'"},
+      {"c A START 5\n", "execution 'c': START without END for activity 'A'"},
+      {"c A START 1\nc A START 2\nc A END 3\n",  // one START left open
+       "execution 'c': START without END for activity 'A'"},
+      {"ok A START 0\nok A END 1\nbad B END 9\n",
+       "execution 'bad': END without START for activity 'B'"},
+      {"# header\n\nok A START 0\nok A END 1\nshort line\n",
+       "line 5: expected at least 4 fields, got 2"},
+      {"a A START 0\na A END 1\nb B START 99999999999999999999\n",
+       "line 3: bad timestamp: integer out of range: "
+       "'99999999999999999999'"},
+      {"m X START 0\nm X END 1\nm Y START 2\nm Z END 3\nm Y END 4\n",
+       "execution 'm': END without START for activity 'Z'"},
   };
 }
 
@@ -151,12 +170,14 @@ TEST(IngestEquivalenceTest, ParseTextMatchesLegacyOnCorpus) {
 
 TEST(IngestEquivalenceTest, IdenticalErrorsOnMalformedInput) {
   int case_no = 0;
-  for (const std::string& text : MalformedCorpus()) {
+  for (const Malformed& bad : MalformedCorpus()) {
     std::string context = "malformed case " + std::to_string(case_no++);
-    auto legacy = LogReader::ReadString(text);
+    auto legacy = LogReader::ReadString(bad.text);
     ASSERT_FALSE(legacy.ok()) << context;
+    EXPECT_TRUE(legacy.status().IsInvalidArgument()) << context;
+    EXPECT_EQ(legacy.status().message(), bad.error) << context;
     for (int threads : {1, 2, 8}) {
-      auto fused = LogReader::ParseText(text, ShardedOptions(threads));
+      auto fused = LogReader::ParseText(bad.text, ShardedOptions(threads));
       ASSERT_FALSE(fused.ok()) << context;
       EXPECT_EQ(legacy.status().code(), fused.status().code()) << context;
       EXPECT_EQ(legacy.status().message(), fused.status().message())
@@ -207,37 +228,135 @@ TEST(IngestEquivalenceTest, ShardCountsDoNotChangeTheResult) {
   }
 }
 
+/// Executions delivered by a streaming scan, with their own dictionary's
+/// names resolved, so they compare by name against a parsed EventLog.
+struct Streamed {
+  Result<StreamingStats> stats = StreamingStats{};
+  std::vector<std::string> names;     // in delivery order
+  std::vector<std::string> rendered;  // one line per execution
+};
+
+/// One execution as text with activity names, independent of dictionary ids.
+std::string RenderExecution(const Execution& exec,
+                            const ActivityDictionary& dict) {
+  std::string out = exec.name() + ":";
+  for (const ActivityInstance& inst : exec.instances()) {
+    out += " " + dict.Name(inst.activity) + "[" + std::to_string(inst.start) +
+           "," + std::to_string(inst.end);
+    for (int64_t v : inst.output) out += " " + std::to_string(v);
+    out += "]";
+  }
+  return out;
+}
+
+Streamed StreamText(const std::string& text, const StreamOptions& options) {
+  TempFile file(text);
+  Streamed out;
+  out.stats = StreamLogFile(
+      file.path(),
+      [&out](const Execution& e, const ActivityDictionary& dict) {
+        out.names.push_back(e.name());
+        out.rendered.push_back(RenderExecution(e, dict));
+        return Status::OK();
+      },
+      options);
+  return out;
+}
+
+/// ParseText's executions rendered like Streamed::rendered, sorted by name.
+std::vector<std::string> RenderLog(const EventLog& log) {
+  std::vector<std::string> out;
+  for (const Execution& e : log.executions()) {
+    out.push_back(RenderExecution(e, log.dictionary()));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(IngestEquivalenceTest, StreamingFileMatchesInMemoryStreaming) {
-  // StreamLogFile now runs over an mmap; it must behave exactly like the
-  // istream path — same executions in the same order, same stats.
+  // StreamLogFile delivers, execution by execution, exactly the executions
+  // ParseText assembles from the same bytes.
   EventLog log = RandomEngineLog(31, true);
   std::string text = LogWriter::ToString(log);
-  std::string path = ::testing::TempDir() + "ingest_stream.log";
-  {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.is_open());
-    out << text;
+  auto parsed = LogReader::ParseText(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Streamed streamed = StreamText(text, StreamOptions{});
+  ASSERT_TRUE(streamed.stats.ok()) << streamed.stats.status().ToString();
+  std::vector<std::string> rendered = streamed.rendered;
+  std::sort(rendered.begin(), rendered.end());
+  EXPECT_EQ(rendered, RenderLog(*parsed));
+  EXPECT_EQ(streamed.stats->executions,
+            static_cast<int64_t>(parsed->num_executions()));
+  EXPECT_EQ(streamed.stats->events, 2 * parsed->TotalInstances());
+}
+
+/// The malformed corpus plus the inputs on which the streaming scan once
+/// disagreed with ParseText: an output vector on a START event, an END line
+/// before its (earlier-timestamped) START line, and a bad output parameter
+/// whose error text must carry the line number.
+std::vector<std::string> StreamParityCorpus() {
+  std::vector<std::string> corpus;
+  for (const Malformed& bad : MalformedCorpus()) corpus.push_back(bad.text);
+  corpus.push_back("c1 A START 0 7\nc1 A END 1\n");
+  corpus.push_back("c1 A END 5\nc1 A START 1\nc2 B START 0\nc2 B END 2\n");
+  corpus.push_back(
+      "c1 A START 0\nc1 A END 1\nc1 B START 2\nc1 B END 3 q\n"
+      "c2 A START 0\nc2 A END 1\n");
+  return corpus;
+}
+
+TEST(IngestEquivalenceTest, StreamingMatchesParseTextUnderEveryPolicy) {
+  int case_no = 0;
+  for (const std::string& text : StreamParityCorpus()) {
+    for (RecoveryPolicy policy :
+         {RecoveryPolicy::kStrict, RecoveryPolicy::kSkip,
+          RecoveryPolicy::kQuarantine}) {
+      std::string context = "parity case " + std::to_string(case_no) + " " +
+                            std::string(RecoveryPolicyName(policy)) +
+                            "\ninput:\n" + text;
+      IngestionReport parse_report;
+      LogParseOptions parse_options;
+      parse_options.recovery = policy;
+      parse_options.report = &parse_report;
+      auto parsed = LogReader::ParseText(text, parse_options);
+
+      IngestionReport stream_report;
+      StreamOptions stream_options;
+      stream_options.recovery = policy;
+      stream_options.report = &stream_report;
+      Streamed streamed = StreamText(text, stream_options);
+
+      ASSERT_EQ(parsed.ok(), streamed.stats.ok())
+          << context << "\nParseText: " << parsed.status().ToString()
+          << "\nStreamLogFile: " << streamed.stats.status().ToString();
+      if (!parsed.ok()) {
+        EXPECT_EQ(parsed.status().code(), streamed.stats.status().code())
+            << context;
+        EXPECT_EQ(parsed.status().message(), streamed.stats.status().message())
+            << context;
+        continue;
+      }
+      std::vector<std::string> rendered = streamed.rendered;
+      std::sort(rendered.begin(), rendered.end());
+      EXPECT_EQ(rendered, RenderLog(*parsed)) << context;
+      EXPECT_EQ(stream_report.policy, parse_report.policy) << context;
+      EXPECT_EQ(stream_report.lines_total, parse_report.lines_total)
+          << context;
+      EXPECT_EQ(stream_report.events_parsed, parse_report.events_parsed)
+          << context;
+      EXPECT_EQ(stream_report.lines_skipped, parse_report.lines_skipped)
+          << context;
+      EXPECT_EQ(stream_report.executions_dropped,
+                parse_report.executions_dropped)
+          << context;
+      EXPECT_EQ(stream_report.error_classes, parse_report.error_classes)
+          << context;
+      // The sidecar bytes cover every quarantine record field and order.
+      EXPECT_EQ(stream_report.QuarantineText(), parse_report.QuarantineText())
+          << context;
+    }
+    ++case_no;
   }
-  std::vector<std::string> stream_names;
-  std::istringstream in(text);
-  auto from_stream = StreamLog(&in, [&](const Execution& e,
-                                        const ActivityDictionary&) {
-    stream_names.push_back(e.name());
-    return Status::OK();
-  });
-  ASSERT_TRUE(from_stream.ok()) << from_stream.status().ToString();
-  std::vector<std::string> file_names;
-  auto from_file = StreamLogFile(path, [&](const Execution& e,
-                                           const ActivityDictionary&) {
-    file_names.push_back(e.name());
-    return Status::OK();
-  });
-  ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
-  EXPECT_EQ(stream_names, file_names);
-  EXPECT_EQ(from_stream->lines, from_file->lines);
-  EXPECT_EQ(from_stream->events, from_file->events);
-  EXPECT_EQ(from_stream->executions, from_file->executions);
-  std::remove(path.c_str());
 }
 
 TEST(IngestEquivalenceTest, NoisyLogsStayEquivalent) {

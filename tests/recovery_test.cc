@@ -11,7 +11,6 @@
 
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "log/recovery.h"
 #include "log/streaming_reader.h"
 #include "log/writer.h"
+#include "temp_file.h"
 
 namespace procmine {
 namespace {
@@ -234,24 +234,21 @@ TEST(StreamingRecoveryTest, SkipsBadLinesAndPoisonedExecutions) {
       "s3 B START 2\n"
       "s3 B END 5\n";
 
+  TempFile in(text);
   // Strict streaming still fails.
-  {
-    std::istringstream strict_in(text);
-    auto stats = StreamLog(
-        &strict_in, [](const Execution&, const ActivityDictionary&) {
-          return Status::OK();
-        });
-    EXPECT_FALSE(stats.ok());
-  }
+  auto strict = StreamLogFile(
+      in.path(), [](const Execution&, const ActivityDictionary&) {
+        return Status::OK();
+      });
+  EXPECT_FALSE(strict.ok());
 
-  std::istringstream in(text);
   StreamOptions options;
   options.recovery = RecoveryPolicy::kSkip;
   IngestionReport report;
   options.report = &report;
   std::vector<std::string> delivered;
-  auto stats = StreamLog(
-      &in,
+  auto stats = StreamLogFile(
+      in.path(),
       [&delivered](const Execution& exec, const ActivityDictionary&) {
         delivered.push_back(exec.name());
         return Status::OK();
@@ -275,14 +272,14 @@ TEST(StreamingRecoveryTest, NonContiguousInstanceIsSkippedNotFatal) {
       "y B END 3\n"
       "x C START 4\n"   // x already finished: non-contiguous
       "x C END 5\n";
-  std::istringstream in(text);
+  TempFile in(text);
   StreamOptions options;
   options.recovery = RecoveryPolicy::kSkip;
   IngestionReport report;
   options.report = &report;
   std::vector<std::string> delivered;
-  auto stats = StreamLog(
-      &in,
+  auto stats = StreamLogFile(
+      in.path(),
       [&delivered](const Execution& exec, const ActivityDictionary&) {
         delivered.push_back(exec.name());
         return Status::OK();

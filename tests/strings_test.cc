@@ -28,28 +28,6 @@ TEST(SplitWhitespaceTest, DropsEmptyFields) {
   EXPECT_TRUE(SplitWhitespace("").empty());
 }
 
-TEST(SplitWhitespaceViewsTest, MatchesOwningVariant) {
-  std::vector<std::string_view> views;
-  for (const char* input :
-       {"  a \t b\nc  ", "", "   ", "one", "x\ty z", "a  b"}) {
-    SplitWhitespaceViews(input, &views);
-    std::vector<std::string> owned = SplitWhitespace(input);
-    ASSERT_EQ(views.size(), owned.size()) << "'" << input << "'";
-    for (size_t i = 0; i < views.size(); ++i) {
-      EXPECT_EQ(views[i], owned[i]) << "'" << input << "'";
-    }
-  }
-}
-
-TEST(SplitWhitespaceViewsTest, ViewsAliasTheInput) {
-  std::string input = "alpha beta";
-  std::vector<std::string_view> views;
-  SplitWhitespaceViews(input, &views);
-  ASSERT_EQ(views.size(), 2u);
-  EXPECT_EQ(views[0].data(), input.data());
-  EXPECT_EQ(views[1].data(), input.data() + 6);
-}
-
 TEST(JoinTest, Joins) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(Join({"solo"}, ","), "solo");

@@ -248,6 +248,21 @@ Result<RunBudget::Limits> BudgetLimitsFromArgs(const Args& args) {
   return limits;
 }
 
+/// Writes the --quarantine-out sidecar, when asked for, and summarizes any
+/// ingestion loss on stderr.
+Status ReportIngestion(const Args& args, const IngestionReport& report) {
+  if (args.Has("quarantine-out")) {
+    PROCMINE_RETURN_NOT_OK(
+        WriteQuarantineFile(args.Get("quarantine-out"), report));
+    std::fprintf(stderr, "wrote quarantine to %s\n",
+                 args.Get("quarantine-out").c_str());
+  }
+  if (report.AnyLoss()) {
+    std::fprintf(stderr, "%s", report.SummaryText().c_str());
+  }
+  return Status::OK();
+}
+
 /// Reads a log honoring --recovery / --quarantine-out. When the caller
 /// passes a report sink it receives the full IngestionReport; either way
 /// the quarantine sidecar is written and any loss is summarized on stderr.
@@ -278,15 +293,7 @@ Result<EventLog> ReadLogAuto(const std::string& path, const Args& args,
     log = LogReader::ReadFile(path, options);
   }
   if (!log.ok()) return log;
-  if (args.Has("quarantine-out")) {
-    PROCMINE_RETURN_NOT_OK(
-        WriteQuarantineFile(args.Get("quarantine-out"), *report));
-    std::fprintf(stderr, "wrote quarantine to %s\n",
-                 args.Get("quarantine-out").c_str());
-  }
-  if (report->AnyLoss()) {
-    std::fprintf(stderr, "%s", report->SummaryText().c_str());
-  }
+  PROCMINE_RETURN_NOT_OK(ReportIngestion(args, *report));
   return log;
 }
 
@@ -508,8 +515,11 @@ int EmitModel(const ProcessGraph& model, const Args& args,
 }
 
 /// Mines a segment-store directory out of core: bounded-resident windowed
-/// passes, byte-identical model (see mine/ooc_miner.h).
-int CommandMineStore(const Args& args) {
+/// passes, byte-identical model (see mine/ooc_miner.h). `spilled` is the
+/// ingestion report of the --spill-dir pass that built the store, if any:
+/// the quarantine sidecar holds its records, then the store's own.
+int CommandMineStore(const Args& args,
+                     const IngestionReport* spilled = nullptr) {
   const std::string& dir = args.positional[0];
   for (const char* flag : {"report-out", "report-dot", "conditions", "fdl"}) {
     if (args.Has(flag)) {
@@ -542,8 +552,10 @@ int CommandMineStore(const Args& args) {
   auto model = OutOfCoreMiner(*options).Mine(&*store, &stats);
   if (!model.ok()) return Fail(model.status());
   if (args.Has("quarantine-out")) {
-    Status st = WriteQuarantineFile(args.Get("quarantine-out"),
-                                    store->report());
+    IngestionReport quarantine;
+    if (spilled != nullptr) quarantine = *spilled;
+    quarantine.Merge(store->report());
+    Status st = WriteQuarantineFile(args.Get("quarantine-out"), quarantine);
     if (!st.ok()) return Fail(st);
     std::fprintf(stderr, "wrote quarantine to %s\n",
                  args.Get("quarantine-out").c_str());
@@ -572,6 +584,7 @@ int CommandMineSpill(const Args& args) {
               << "' is already a segment store\n";
     return kExitUsage;
   }
+  IngestionReport ingestion;
   if (!EndsWith(path, ".bin") && !EndsWith(path, ".xes")) {
     auto limits = BudgetLimitsFromArgs(args);
     if (!limits.ok()) return Fail(limits.status());
@@ -586,7 +599,6 @@ int CommandMineSpill(const Args& args) {
 
     auto writer = SegmentedLogWriter::Create(dir, *store_options);
     if (!writer.ok()) return Fail(writer.status());
-    IngestionReport ingestion;
     StreamOptions stream_options;
     stream_options.recovery = *policy;
     stream_options.report = &ingestion;
@@ -612,7 +624,7 @@ int CommandMineSpill(const Args& args) {
   } else {
     // Binary/XES decoding is already one bounded pass; materialize and
     // convert through the writer.
-    auto log = ReadLogAuto(path, args);
+    auto log = ReadLogAuto(path, args, &ingestion);
     if (!log.ok()) return Fail(log.status());
     auto policy = RecoveryFlag(args);
     if (!policy.ok()) return Fail(policy.status());
@@ -627,7 +639,7 @@ int CommandMineSpill(const Args& args) {
   Args store_args = args;
   store_args.positional[0] = dir;
   store_args.flags.erase("spill-dir");
-  return CommandMineStore(store_args);
+  return CommandMineStore(store_args, &ingestion);
 }
 
 int CommandMine(const Args& args) {
@@ -862,8 +874,10 @@ int CommandMonitor(const Args& args) {
     }
     auto policy = RecoveryFlag(args);
     if (!policy.ok()) return Fail(policy.status());
+    IngestionReport ingestion;
     StreamOptions stream_options;
     stream_options.recovery = *policy;
+    stream_options.report = &ingestion;
     auto stats = StreamLogFile(
         path,
         [&monitor](const Execution& exec, const ActivityDictionary& dict) {
@@ -871,6 +885,8 @@ int CommandMonitor(const Args& args) {
         },
         stream_options);
     if (!stats.ok()) return Fail(stats.status());
+    Status reported = ReportIngestion(args, ingestion);
+    if (!reported.ok()) return Fail(reported);
   } else {
     auto log = ReadLogAuto(path, args);
     if (!log.ok()) return Fail(log.status());
